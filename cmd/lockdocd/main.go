@@ -7,7 +7,7 @@
 // Usage:
 //
 //	lockdocd [-addr 127.0.0.1:8750] [-trace trace.lkdc] [-cache-size 64] [-j N] [-quiet] [-debug-addr 127.0.0.1:6060] [-lenient] [-max-errors N]
-//	         [-checkpoint-dir DIR] [-store-dir DIR] [-max-body-bytes N] [-rate-limit N] [-rate-burst N] [-max-inflight N] [-mem-budget-bytes N] [-drain-timeout 5s]
+//	         [-store-dir DIR] [-max-body-bytes N] [-rate-limit N] [-rate-burst N] [-max-inflight N] [-mem-budget-bytes N] [-drain-timeout 5s]
 //	         [-max-namespaces N] [-ns-mem-budget-bytes N] [-ns-rate-limit N] [-ns-rate-burst N]
 //
 // Endpoints (each namespace owns its own trace, snapshot and caches;
@@ -27,8 +27,11 @@
 //	GET    /healthz                  liveness
 //	GET    /metrics                  Prometheus-style counters (per-namespace lockdocd_ns_* included)
 //
-// With -store-dir (or -checkpoint-dir) each namespace persists under
-// its own subdirectory; -ns-mem-budget-bytes bounds total residency by
+// With -store-dir each namespace persists into a segment store under
+// its own subdirectory: an upload or append is acknowledged only after
+// its bytes are committed to the store's trace chain, so a restart
+// (even after SIGKILL) serves every acknowledged byte and keeps
+// accepting appends. -ns-mem-budget-bytes bounds total residency by
 // LRU-evicting idle namespaces, which transparently re-open from disk
 // on their next request.
 //
@@ -58,8 +61,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	tracePath := fl.String("trace", "", "trace file to preload as the first snapshot")
 	cacheSize := fl.Int("cache-size", server.DefaultCacheSize, "derivation cache capacity (result sets)")
 	quiet := fl.Bool("quiet", false, "suppress the per-request access log")
-	ckptDir := fl.String("checkpoint-dir", "", "directory for crash-safe trace checkpoints (empty = in-memory only)")
-	storeDir := fl.String("store-dir", "", "directory for the compressed segment store; a restart reopens its compacted state instantly instead of re-importing")
+	storeDir := fl.String("store-dir", "", "directory for the crash-safe compressed segment store (empty = in-memory only); a restart reopens its compacted state instantly instead of re-importing")
 	maxBody := fl.Int64("max-body-bytes", 0, "largest accepted /v1/traces request body (0 = built-in 512 MiB cap)")
 	rateLimit := fl.Float64("rate-limit", 0, "sustained /v1 requests per second admitted (0 = unlimited)")
 	rateBurst := fl.Int("rate-burst", 0, "burst size for -rate-limit (0 = same as the rate)")
@@ -95,12 +97,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	reg := obsf.Registry()
 	if reg == nil {
 		// No -obs flags: still share one registry between the server
-		// and its durability backend, so /metrics exposes checkpoint
-		// and segment-store instruments alongside the serving ones.
+		// and its segment stores, so /metrics exposes the store
+		// instruments alongside the serving ones.
 		reg = obs.NewRegistry()
-	}
-	if *storeDir != "" && *ckptDir != "" {
-		return errors.New("lockdocd: -checkpoint-dir and -store-dir are alternative durability backends; pick one")
 	}
 	retry := resilience.DefaultBackoff
 	retry.Metrics = resilience.NewMetrics(reg)
@@ -110,9 +109,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		Ingest:           ingest.ReaderOptions(),
 		Obs:              reg,
 		Log:              accessLog,
-		CheckpointRoot:   *ckptDir,
-		CheckpointRetry:  retry,
 		StoreRoot:        *storeDir,
+		StoreRetry:       retry,
 		MaxBodyBytes:     *maxBody,
 		RateLimit:        *rateLimit,
 		RateBurst:        *rateBurst,
@@ -123,22 +121,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		NsRateLimit:      *nsRateLimit,
 		NsRateBurst:      *nsRateBurst,
 	})
-	// Recover first: a preloaded -trace then replaces (and
-	// re-checkpoints over) whatever the default's directory held.
-	if *ckptDir != "" {
-		replayed, err := srv.RecoverCheckpoints()
-		if err != nil {
-			return err
-		}
-		if replayed > 0 {
-			gen := uint64(0)
-			if snap := srv.Snapshot(); snap != nil {
-				gen = snap.Gen
-			}
-			fmt.Fprintf(stderr, "lockdocd: recovered %d checkpoint segment(s) from %s (default generation %d)\n",
-				replayed, *ckptDir, gen)
-		}
-	}
+	// Reopen first: a preloaded -trace then replaces (and re-commits
+	// over) whatever the default's directory held.
 	if *storeDir != "" {
 		opened, err := srv.OpenStores()
 		if err != nil {

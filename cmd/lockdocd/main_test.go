@@ -102,19 +102,28 @@ func (c *lockdocdChild) kill(t *testing.T) {
 	<-c.done
 }
 
-// httpDoc fetches /v1/doc through the typed client. The short retry
-// policy rides out the brief 503 window while a freshly-restarted
-// daemon replays its checkpoint.
-func httpDoc(client *http.Client, base string) (string, error) {
+// httpState fetches /v1/doc and /v1/rules through the typed client;
+// the rules carry support counts, so every applied chunk shows. The
+// short retry policy rides out the brief 503 window while a
+// freshly-restarted daemon reopens its store.
+func httpState(client *http.Client, base string) (string, error) {
 	c := apiclient.New(base, apiclient.WithHTTPClient(client))
-	return c.Doc(context.Background(), "clock")
+	doc, err := c.Doc(context.Background(), "clock")
+	if err != nil {
+		return "", err
+	}
+	rules, err := c.Rules(context.Background(), nil)
+	return doc + string(rules), err
 }
 
 // TestCrashRecoverySIGKILL is the process-level chaos soak: a real
 // lockdocd child is SIGKILLed at uncontrolled points while the parent
-// streams appends at it, restarted on the same -checkpoint-dir, and
-// must always come back serving a valid prefix of the append sequence —
-// every acknowledged chunk present, never partially-applied state.
+// streams appends at it, restarted on the same -store-dir, and must
+// always come back serving a valid prefix of the append sequence —
+// every acknowledged chunk present, never partially-applied state. The
+// appends after every restart land on a namespace reopened from its
+// compacted state, so each round also replays the trace chain into a
+// fresh live store before its first commit.
 func TestCrashRecoverySIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess soak; skipped in -short")
@@ -127,7 +136,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		chunks[i] = clockTrace(t, int64(100+i), 20+5*i)
 	}
 
-	// docs[k] is /v1/doc after the base trace plus chunks[:k] — the only
+	// docs[k] is the served state after the base trace plus chunks[:k] — the only
 	// states a correctly-recovering daemon may ever serve. Computed on an
 	// in-process oracle with the daemon's default ingest options.
 	oracle := server.New(server.Config{Ingest: trace.ReaderOptions{Lenient: true, MaxErrors: 100}})
@@ -137,12 +146,14 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		oracle.Handler().ServeHTTP(rec, req)
 		return rec
 	}
+	oracleTS := httptest.NewServer(oracle.Handler())
+	defer oracleTS.Close()
 	oracleDoc := func() string {
-		rec := oracleDo("GET", "/v1/doc?type=clock", nil)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("oracle doc: %d %s", rec.Code, rec.Body.String())
+		state, err := httpState(oracleTS.Client(), oracleTS.URL)
+		if err != nil {
+			t.Fatalf("oracle state: %v", err)
 		}
-		return rec.Body.String()
+		return state
 	}
 	if rec := oracleDo("POST", "/v1/traces", base); rec.Code != http.StatusCreated {
 		t.Fatalf("oracle base load: %d %s", rec.Code, rec.Body.String())
@@ -157,7 +168,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	args := []string{"-addr", "127.0.0.1:0", "-checkpoint-dir", dir, "-quiet", "-lenient", "-max-errors", "100"}
+	args := []string{"-addr", "127.0.0.1:0", "-store-dir", dir, "-quiet", "-lenient", "-max-errors", "100"}
 	client := &http.Client{Timeout: 10 * time.Second}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 
@@ -222,7 +233,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		// Restart on the same directory: the daemon must recover some
 		// prefix ≥ the acked one — and nothing that is not a prefix.
 		child = startChild(t, args...)
-		got, err := httpDoc(client, child.url)
+		got, err := httpState(client, child.url)
 		if err != nil {
 			t.Fatalf("after restart %d: %v", kills, err)
 		}
@@ -234,7 +245,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 			}
 		}
 		if recovered < 0 {
-			t.Fatalf("after restart %d: /v1/doc matches no valid prefix in [%d,%d] — partially-written state (acked %d, last sent %d)",
+			t.Fatalf("after restart %d: served state matches no valid prefix in [%d,%d] — partially-written state (acked %d, last sent %d)",
 				kills, pos, sent+1, pos, sent)
 		}
 		t.Logf("restart %d: recovered prefix %d (acked %d, in-limbo up to %d)", kills, recovered, pos, sent)
@@ -242,12 +253,12 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	}
 
 	// Everything applied; one final clean check against the oracle.
-	got, err := httpDoc(client, child.url)
+	got, err := httpState(client, child.url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != docs[nChunks] {
-		t.Error("final /v1/doc differs from the oracle after full recovery soak")
+		t.Error("final served state differs from the oracle after full recovery soak")
 	}
 	child.kill(t)
 }

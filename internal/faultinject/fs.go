@@ -8,7 +8,7 @@ import (
 )
 
 // This file extends the package from damaging trace *bytes* to
-// damaging the *filesystem operations* a checkpoint store performs:
+// damaging the *filesystem operations* a segment store performs:
 // torn writes (a crash mid-write persists only a prefix), partial
 // renames (a crash before the rename leaves the temp file and no final
 // name), and fail-N-then-succeed faults (a flaky disk that recovers).
@@ -16,11 +16,11 @@ import (
 // are armed explicitly, by operation count, so a failing chaos run
 // replays exactly.
 //
-// FS mirrors lockdoc/internal/checkpoint.FS method-for-method but is
+// FS mirrors lockdoc/internal/manifest.FS method-for-method but is
 // restated here instead of imported, keeping this package
 // dependency-free (the same reason `marker` is restated above); Go's
-// structural typing lets a *FaultFS wrap any checkpoint FS and be
-// passed back as one.
+// structural typing lets a *FaultFS wrap any manifest FS and be passed
+// back as one.
 
 // FS is the file-operation surface FaultFS interposes on.
 type FS interface {
@@ -94,7 +94,7 @@ type FaultFS struct {
 	faults []fault
 }
 
-// NewFaultFS wraps inner (typically checkpoint.OSFS) for fault
+// NewFaultFS wraps inner (typically manifest.OSFS) for fault
 // injection.
 func NewFaultFS(inner FS) *FaultFS {
 	return &FaultFS{inner: inner, counts: make(map[Op]int)}

@@ -1,7 +1,7 @@
-// Package manifest holds the torn-write-safe directory discipline that
-// lockdoc's durable stores (internal/checkpoint, internal/segstore)
-// share: a MANIFEST file of self-checksummed entry lines plus the
-// temp + fsync + rename idiom for publishing files atomically.
+// Package manifest holds the torn-write-safe directory discipline of
+// lockdoc's durable store (internal/segstore): a MANIFEST file of
+// self-checksummed entry lines plus the temp + fsync + rename idiom for
+// publishing files atomically.
 //
 // The invariants, identical for every store built on this package:
 //

@@ -22,9 +22,9 @@ func TestEntryLineRoundTrip(t *testing.T) {
 	}
 }
 
-// The line format is shared with internal/checkpoint's on-disk
-// manifests; this pins the exact rendering so a refactor cannot
-// silently orphan existing checkpoint directories.
+// The line format is what every existing store directory holds on
+// disk; this pins the exact rendering so a refactor cannot silently
+// orphan them.
 func TestEntryLineFormatPinned(t *testing.T) {
 	e := Entry{Seq: 3, Kind: "full", Name: "seg-00000003.ckpt", Size: 100, CRC: 0x0000abcd}
 	const want = "v1 3 full 100 0000abcd seg-00000003.ckpt bdb0347e\n"

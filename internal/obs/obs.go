@@ -1,8 +1,7 @@
 // Package obs is the pipeline-wide observability layer: a
 // dependency-free registry of counters, gauges and histograms, plus
-// hierarchical wall-clock spans (span.go), pluggable dump sinks
-// (sink.go) and an opt-in debug HTTP server exposing the registry and
-// net/http/pprof (debug.go).
+// pluggable dump sinks (sink.go) and an opt-in debug HTTP server
+// exposing the registry and net/http/pprof (debug.go).
 //
 // The design follows DTrace's "always on, near-zero overhead when
 // unused" discipline: every instrument is a single atomic operation on

@@ -29,18 +29,6 @@ func TestNilSafety(t *testing.T) {
 	if snaps := r.Gather(); snaps != nil {
 		t.Errorf("nil registry gathered %v", snaps)
 	}
-	var s *Span
-	cs := s.StartChild("x")
-	if cs != nil {
-		t.Error("nil span should hand out nil children")
-	}
-	s.End()
-	if s.Duration() != 0 || s.Name() != "" {
-		t.Error("nil span should read zero")
-	}
-	if err := s.WriteTree(io.Discard); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -211,36 +199,6 @@ func TestGaugeFunc(t *testing.T) {
 	v = 9
 	if got := r.Gather()[0].Value; got != 9 {
 		t.Errorf("gauge func = %g, want 9", got)
-	}
-}
-
-func TestSpanTree(t *testing.T) {
-	root := StartSpan("derive")
-	child := root.StartChild("mine")
-	child.End()
-	grand := root.StartChild("check")
-	grand.End()
-	root.End()
-	if root.Duration() <= 0 {
-		t.Error("root duration should be positive")
-	}
-	d := root.Duration()
-	time.Sleep(time.Millisecond)
-	if root.Duration() != d {
-		t.Error("ended span duration should be frozen")
-	}
-	var b strings.Builder
-	if err := root.WriteTree(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, name := range []string{"derive", "mine", "check"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("tree missing span %q:\n%s", name, out)
-		}
-	}
-	if lines := strings.Count(out, "\n"); lines != 3 {
-		t.Errorf("tree has %d lines, want 3:\n%s", lines, out)
 	}
 }
 

@@ -6,7 +6,7 @@
 // HTTP front door sheds load with.
 //
 // The split the package enforces everywhere: a *transient* failure
-// (EINTR, a flaky NFS read, a checkpoint disk hiccup) is retried and
+// (EINTR, a flaky NFS read, a store disk hiccup) is retried and
 // never charged against the trace layer's corruption error budget; a
 // *permanent* failure (bad bytes, CRC mismatch, exhausted attempts)
 // propagates. PR 1's lenient reader owns the second kind; this package
@@ -90,7 +90,7 @@ type Backoff struct {
 	Rand  func() float64
 }
 
-// DefaultBackoff is the policy the follower and checkpoint paths use
+// DefaultBackoff is the policy the follower and store-commit paths use
 // when a caller enables retries without tuning them: up to 4 tries in
 // well under a second.
 var DefaultBackoff = Backoff{Attempts: 4, Base: 10 * time.Millisecond, Max: 250 * time.Millisecond, Jitter: 0.5}

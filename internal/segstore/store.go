@@ -1,11 +1,12 @@
 // Package segstore persists a lockdoc pipeline on disk as compressed,
 // CRC-checksummed, append-only segment files described by a
-// self-checksummed manifest (the same torn-write-safe directory
-// discipline as internal/checkpoint, via internal/manifest).
+// self-checksummed manifest (the torn-write-safe directory discipline
+// of internal/manifest).
 //
 // Two segment kinds live side by side. Trace segments hold the raw v2
-// sync-block bytes of the ingested trace — the durable source of truth,
-// replayable with trace.NewContinuationReader. State segments hold a
+// sync-block bytes of the ingested trace — the durable source of truth
+// and the commit point, replayable with trace.NewContinuationReader.
+// State segments are a cache of that trace: they hold a
 // compact encoding of one sealed snapshot: block 0 is the metadata
 // (interned tables, counters, and the observation-group directory),
 // block i+1 the observations of group i. Reopening a store therefore
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -61,6 +63,11 @@ const (
 
 // ErrClosed reports use of a store after Close.
 var ErrClosed = errors.New("segstore: store closed")
+
+// ErrUnstorable rejects trace bytes the store cannot segment: a v1
+// trace, a malformed header, or bytes that do not start at a sync
+// block. It is a property of the bytes, never of the disk.
+var ErrUnstorable = errors.New("segstore: trace bytes cannot be stored")
 
 // Options configures Open.
 type Options struct {
@@ -209,6 +216,18 @@ func (s *Store) HasState() bool {
 	return false
 }
 
+// StateCurrent reports whether the newest state segment covers the
+// whole trace chain: one exists and no trace entry follows it in
+// manifest order. A crash (or a failed Compact) between AppendTrace
+// and Compact leaves the state one commit behind; a reader that must
+// serve every committed byte replays the trace instead.
+func (s *Store) StateCurrent() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.entries)
+	return n > 0 && s.entries[n-1].Kind == KindState
+}
+
 // HasTrace reports whether the store holds any trace segments.
 func (s *Store) HasTrace() bool {
 	s.mu.Lock()
@@ -258,17 +277,17 @@ func stripTraceHeader(raw []byte) ([]byte, error) {
 	if trace.HasHeader(raw) {
 		v, n := binary.Uvarint(raw[4:])
 		if n <= 0 {
-			return nil, errors.New("segstore: malformed trace header")
+			return nil, fmt.Errorf("%w: malformed trace header", ErrUnstorable)
 		}
 		if v != trace.FormatV2 {
-			return nil, fmt.Errorf("segstore: only v2 traces can be stored (got v%d)", v)
+			return nil, fmt.Errorf("%w: only v2 traces can be stored (got v%d)", ErrUnstorable, v)
 		}
 		raw = raw[4+n:]
 	}
 	// 0xFF opens a v2 sync marker and is reserved as an event kind, so
 	// any committed block range must start with it.
 	if len(raw) > 0 && raw[0] != 0xFF {
-		return nil, errors.New("segstore: trace bytes do not start at a sync-block boundary")
+		return nil, fmt.Errorf("%w: not at a sync-block boundary", ErrUnstorable)
 	}
 	return raw, nil
 }
@@ -363,6 +382,9 @@ func (s *Store) ResetTrace(raw []byte) error {
 		entries = append(entries, e)
 	}
 	if err := manifest.Replace(s.fs, s.dir, entries); err != nil {
+		for _, e := range entries {
+			_ = s.fs.Remove(filepath.Join(s.dir, e.Name))
+		}
 		return fmt.Errorf("segstore: rewriting manifest: %w", err)
 	}
 	old := s.entries
@@ -665,6 +687,46 @@ func (s *Store) TraceReader() io.Reader {
 		segs = append(segs, seg)
 	}
 	return &traceReader{s: s, segs: segs}
+}
+
+// RepairTrace cuts the store at its first damaged trace segment (one
+// that is missing or fails its manifest size/CRC check): that entry
+// and every entry after it leave the manifest. Later trace segments
+// cannot be replayed past the gap, and a state segment compacted from
+// them is ahead of the chain. Run it before replaying a chain that new
+// commits will extend, so no acknowledged append lands behind a gap
+// that a later replay would stop at. Only real damage cuts: any other
+// open error (a transient read fault, EMFILE, EIO, ErrClosed) is
+// returned with the manifest untouched, so the caller can retry without
+// losing acknowledged segments. Returns the entries dropped (0 for an
+// intact chain). The caller serializes it with the store's writers.
+func (s *Store) RepairTrace() (int, error) {
+	for i, e := range s.Manifest() {
+		if e.Kind != KindTrace {
+			continue
+		}
+		_, err := s.segment(e)
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, ErrBadSegment) && !errors.Is(err, fs.ErrNotExist) {
+			return 0, err
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.closed {
+			return 0, ErrClosed
+		}
+		keep, drop := s.entries[:i:i], s.entries[i:]
+		if err := manifest.Replace(s.fs, s.dir, keep); err != nil {
+			return 0, fmt.Errorf("segstore: cutting the trace chain at %s: %w", e.Name, err)
+		}
+		s.entries = keep
+		s.dirty = false
+		s.retireLocked(drop)
+		return len(drop), nil
+	}
+	return 0, nil
 }
 
 type traceReader struct {

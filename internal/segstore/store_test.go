@@ -2,12 +2,16 @@ package segstore
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"lockdoc/internal/analysis"
+	"lockdoc/internal/core"
 	"lockdoc/internal/db"
+	"lockdoc/internal/faultinject"
 	"lockdoc/internal/manifest"
 	"lockdoc/internal/obs"
 	"lockdoc/internal/trace"
@@ -506,6 +510,125 @@ func TestReopenDamage(t *testing.T) {
 			t.Fatalf("state after torn manifest: ok=%v err=%v", ok, err)
 		}
 	})
+
+	t.Run("state-older-than-trace", func(t *testing.T) {
+		// A crash between AppendTrace and Compact: the state segment
+		// precedes the newest trace segment in manifest order.
+		dir := t.TempDir()
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ResetTrace(head); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Compact(importRaw(t, head)); err != nil {
+			t.Fatal(err)
+		}
+		if !s.StateCurrent() {
+			t.Fatal("freshly compacted state is not current")
+		}
+		if err := s.AppendTrace(tail); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		s, err = Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if s.StateCurrent() {
+			t.Fatal("state compacted before the last commit reported current; reopen would serve it")
+		}
+		// What a reopen serves instead — a replay of the chain — is the
+		// batch render of the full chain, not of the stale state.
+		r := trace.NewContinuationReader(s.TraceReader(), trace.ReaderOptions{})
+		d := db.New(db.Config{})
+		if _, err := d.Consume(r); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := renderDoc(t, d.Seal()), renderDoc(t, importRaw(t, raw)); got != want {
+			t.Errorf("replayed doc differs from the batch render of the full chain:\n--- want\n%s\n--- got\n%s", want, got)
+		}
+	})
+
+	t.Run("repair-damaged-trace", func(t *testing.T) {
+		dir := build(t)
+		path := findSeg(t, dir, KindTrace) // the appended (second) trace segment
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0xA5
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The damaged segment and the state compacted past it go.
+		if n, err := s.RepairTrace(); n != 2 || err != nil {
+			t.Fatalf("RepairTrace = %d, %v; want the damaged trace and the state dropped", n, err)
+		}
+		s.Close()
+		s, err = Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if got := len(s.Manifest()); got != 1 {
+			t.Fatalf("repaired manifest has %d entries, want the head alone", got)
+		}
+		if n, err := s.RepairTrace(); n != 0 || err != nil {
+			t.Fatalf("RepairTrace on an intact chain = %d, %v", n, err)
+		}
+		if got := len(storeEvents(t, s)); got != headEvents {
+			t.Fatalf("repaired chain replays %d events, want the %d-event head", got, headEvents)
+		}
+
+		// A transient read fault is not damage: RepairTrace reports it
+		// and leaves every entry, and every file, in place.
+		dir = build(t)
+		ffs := faultinject.NewFaultFS(manifest.OSFS{})
+		s2, err := Open(dir, Options{FS: ffs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ffs.Clear()
+		ffs.FailN(faultinject.OpRead, 0, 1, true)
+		if n, err := s2.RepairTrace(); n != 0 || !faultinject.IsInjected(err) {
+			t.Fatalf("RepairTrace under a transient read fault = %d, %v; want 0 and the fault", n, err)
+		}
+		if n, err := s2.RepairTrace(); n != 0 || err != nil {
+			t.Fatalf("RepairTrace after the fault cleared = %d, %v", n, err)
+		}
+		s2.Close()
+		s2, err = Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		if got := len(s2.Manifest()); got != 3 {
+			t.Fatalf("manifest after a transient fault has %d entries, want all 3", got)
+		}
+		if got := len(storeEvents(t, s2)); got != wantEvents {
+			t.Fatalf("chain after a transient fault replays %d events, want %d", got, wantEvents)
+		}
+		if _, ok, err := s2.LoadState(); !ok || err != nil {
+			t.Fatalf("state after a transient fault: ok=%v err=%v", ok, err)
+		}
+	})
+}
+
+// renderDoc derives d's rules and renders the clock type's document.
+func renderDoc(t testing.TB, d *db.DB) string {
+	t.Helper()
+	results, err := core.DeriveAll(context.Background(), d, core.Options{AcceptThreshold: core.DefaultAcceptThreshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return analysis.GenerateDoc(d, results, "clock")
 }
 
 func TestRejectsV1AndMisalignedTraces(t *testing.T) {

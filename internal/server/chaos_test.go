@@ -4,24 +4,72 @@ import (
 	"bytes"
 	"math/rand"
 	"net/http"
+	"path/filepath"
 	"testing"
 
-	"lockdoc/internal/checkpoint"
 	"lockdoc/internal/faultinject"
+	"lockdoc/internal/manifest"
+	"lockdoc/internal/segstore"
 )
 
-// TestChaosSoak is the chaos harness for the durability tentpole: 50
-// ingestion cycles against a checkpointing server whose filesystem
+// faultStoreServer builds a server committing into a segment store at
+// dir through fsys (nil means the real filesystem). The store closes
+// with the test; closing it early is the tests' "crash".
+func faultStoreServer(t testing.TB, dir string, fsys manifest.FS) (*Server, *segstore.Store) {
+	t.Helper()
+	st, err := segstore.Open(dir, segstore.Options{FS: fsys})
+	if err != nil {
+		t.Fatalf("opening store: %v", err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	return New(Config{Ingest: lenientIngest(), Store: st, StoreRetry: fastServerRetry()}), st
+}
+
+// reopen is the restart half of a crash: a fresh server on the same
+// directory republishes whatever the store committed.
+func reopen(t testing.TB, dir string, fsys manifest.FS) (*Server, *segstore.Store) {
+	t.Helper()
+	s, st := faultStoreServer(t, dir, fsys)
+	snap, err := s.OpenStore()
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if snap == nil {
+		t.Fatal("reopen found nothing in a populated directory")
+	}
+	return s, st
+}
+
+// servedState is what the durability tests compare across restarts:
+// the clock document plus the mined rules. The rules carry support
+// counts, so unlike the document alone they tell every appended chunk
+// apart.
+func servedState(t testing.TB, s *Server) string {
+	t.Helper()
+	return body(t, s, "/v1/doc?type=clock") + body(t, s, "/v1/rules")
+}
+
+// mustPost drives one acknowledged ingest.
+func mustPost(t testing.TB, s *Server, target string, body []byte) {
+	t.Helper()
+	if rec := do(t, s, "POST", target, bytes.NewReader(body)); rec.Code != http.StatusCreated {
+		t.Fatalf("POST %s: status %d: %s", target, rec.Code, rec.Body.String())
+	}
+}
+
+// TestChaosSoak is the chaos harness for the durability contract: 50
+// ingestion cycles against a store-backed server whose filesystem
 // randomly tears writes, loses renames, and fails flakily, with the
-// process "crashing" (abandoned and re-recovered from the directory) at
-// random points. The invariant under test: the recovered server always
-// serves exactly the state built from the *acknowledged* ingests — a
-// valid prefix of the client's view, never partially-written state.
+// process "crashing" (abandoned and re-opened from the directory) at
+// random points and appends continuing after every restart. The
+// invariant under test: the recovered server always serves exactly the
+// state built from the *acknowledged* ingests — never partially-written
+// state, never a byte the client was told failed.
 //
-// An oracle server with no checkpointing (and no faults) ingests the
-// same bytes whenever the chaos server acknowledges them; after every
-// crash the recovered /v1/doc must be byte-identical to the oracle's.
-// The RNG is seeded so a failing run replays exactly.
+// An oracle server with no store (and no faults) ingests the same bytes
+// whenever the chaos server acknowledges them; after every crash the
+// recovered document and rules must be byte-identical to the oracle's. The RNG is
+// seeded so a failing run replays exactly.
 func TestChaosSoak(t *testing.T) {
 	const cycles = 50
 	const seed = 20260807
@@ -29,48 +77,24 @@ func TestChaosSoak(t *testing.T) {
 	t.Logf("chaos soak: %d cycles, seed %d", cycles, seed)
 
 	dir := t.TempDir()
-	ffs := faultinject.NewFaultFS(checkpoint.OSFS{})
+	ffs := faultinject.NewFaultFS(manifest.OSFS{})
 	raw := clockTraceBytes(t)
 	sh := discoverClockShape(t, raw)
 
-	boot := func() *Server {
-		st, err := checkpoint.Open(dir, checkpoint.Options{FS: ffs})
-		if err != nil {
-			t.Fatalf("opening checkpoint dir: %v", err)
-		}
-		return New(Config{Ingest: lenientIngest(), Checkpoint: st,
-			CheckpointRetry: fastServerRetry()})
-	}
-
 	oracle := New(Config{Ingest: lenientIngest()})
-	chaosSrv := boot()
-
-	// mustIngest drives one acknowledged ingest into both servers.
-	mustIngest := func(s *Server, target string, body []byte, what string) {
-		t.Helper()
-		if rec := do(t, s, "POST", target, bytes.NewReader(body)); rec.Code != http.StatusCreated {
-			t.Fatalf("%s: status %d: %s", what, rec.Code, rec.Body.String())
-		}
-	}
-	mustIngest(chaosSrv, "/v1/traces", raw, "seed upload (chaos)")
-	mustIngest(oracle, "/v1/traces", raw, "seed upload (oracle)")
-	acked := 1 // segments the chaos server has acknowledged since its last full load
+	chaosSrv, st := faultStoreServer(t, dir, ffs)
+	mustPost(t, chaosSrv, "/v1/traces", raw)
+	mustPost(t, oracle, "/v1/traces", raw)
 
 	crashAndRecover := func(cycle int) {
 		t.Helper()
 		// The process dies: nothing of chaosSrv survives but the
 		// directory. The reboot also clears any in-flight disk faults.
 		ffs.Clear()
-		chaosSrv = boot()
-		replayed, err := chaosSrv.RecoverCheckpoint()
-		if err != nil {
-			t.Fatalf("cycle %d: recovery: %v", cycle, err)
-		}
-		if replayed != acked {
-			t.Fatalf("cycle %d: recovered %d segments, want the %d acknowledged ones", cycle, replayed, acked)
-		}
-		if got, want := docBody(t, chaosSrv), docBody(t, oracle); got != want {
-			t.Fatalf("cycle %d: recovered /v1/doc differs from the acknowledged state:\n--- want\n%s\n--- got\n%s",
+		_ = st.Close()
+		chaosSrv, st = reopen(t, dir, ffs)
+		if got, want := servedState(t, chaosSrv), servedState(t, oracle); got != want {
+			t.Fatalf("cycle %d: recovered state differs from the acknowledged state:\n--- want\n%s\n--- got\n%s",
 				cycle, want, got)
 		}
 	}
@@ -115,12 +139,7 @@ func TestChaosSoak(t *testing.T) {
 		switch rec.Code {
 		case http.StatusCreated:
 			// Acknowledged: the oracle ingests the same bytes.
-			mustIngest(oracle, target, body, "oracle mirror")
-			if replace {
-				acked = 1
-			} else {
-				acked++
-			}
+			mustPost(t, oracle, target, body)
 		case http.StatusServiceUnavailable:
 			// Refused for durability; the served snapshot must not have
 			// moved, and the bytes must not reappear after recovery.
@@ -133,8 +152,8 @@ func TestChaosSoak(t *testing.T) {
 
 		// The snapshot served right now always matches the acknowledged
 		// state, fault or no fault.
-		if got, want := docBody(t, chaosSrv), docBody(t, oracle); got != want {
-			t.Fatalf("cycle %d: live /v1/doc diverged from acknowledged state", i)
+		if got, want := servedState(t, chaosSrv), servedState(t, oracle); got != want {
+			t.Fatalf("cycle %d: live state diverged from acknowledged state", i)
 		}
 
 		if rng.Intn(4) == 0 {
@@ -149,95 +168,101 @@ func TestChaosSoak(t *testing.T) {
 // TestChaosRecoverFromDamagedDirectory drives recovery directly against
 // directories damaged in ways the soak may not hit every run: a torn
 // final manifest line, an orphan segment with no manifest entry, and a
-// manifest entry whose payload bytes were corrupted in place.
+// committed trace segment whose bytes were corrupted in place. Each
+// recovered server must serve acknowledged state, accept appends, and
+// keep them across further restarts.
 func TestChaosRecoverFromDamagedDirectory(t *testing.T) {
 	raw := clockTraceBytes(t)
 	sh := discoverClockShape(t, raw)
 	chunk := secondsOnlyChunk(t, sh, 16)
 
-	// build populates a fresh directory with one acknowledged load and
-	// one acknowledged append, returning the doc they produced.
-	build := func(t *testing.T, dir string) string {
-		s := ckptServer(t, dir, nil)
-		for _, step := range []struct {
-			target string
-			body   []byte
-		}{{"/v1/traces", raw}, {"/v1/traces?mode=append", chunk}} {
-			if rec := do(t, s, "POST", step.target, bytes.NewReader(step.body)); rec.Code != http.StatusCreated {
-				t.Fatalf("POST %s: %d %s", step.target, rec.Code, rec.Body.String())
-			}
+	// oracleState is the served state of an in-memory server fed bodies
+	// in order.
+	oracleState := func(t *testing.T, steps ...[]byte) string {
+		o := New(Config{Ingest: lenientIngest()})
+		mustPost(t, o, "/v1/traces", raw)
+		for _, b := range steps {
+			mustPost(t, o, "/v1/traces?mode=append", b)
 		}
-		return docBody(t, s)
+		return servedState(t, o)
 	}
+	fullState := oracleState(t, chunk)
 
 	for _, tt := range []struct {
 		name   string
-		damage func(t *testing.T, dir string, fsys checkpoint.FS)
-		want   int // segments expected to replay after the damage
+		damage func(t *testing.T, dir string, st *segstore.Store)
+		// survivors are the appends still committed once the chain
+		// must be replayed (the store's state cache serves fullState
+		// until then).
+		survivors [][]byte
 	}{
-		{"torn_manifest_tail", func(t *testing.T, dir string, fsys checkpoint.FS) {
-			// A crash mid-append leaves half a manifest line; the two
+		{"torn_manifest_tail", func(t *testing.T, dir string, _ *segstore.Store) {
+			// A crash mid-append leaves half a manifest line; the
 			// committed entries before it must survive.
-			if err := fsys.AppendFile(dir+"/MANIFEST", []byte("v1 99 append 12 0000")); err != nil {
+			if err := (manifest.OSFS{}).AppendFile(filepath.Join(dir, manifest.Name), []byte("v1 99 trace 12 0000")); err != nil {
 				t.Fatal(err)
 			}
-		}, 2},
-		{"orphan_segment", func(t *testing.T, dir string, fsys checkpoint.FS) {
+		}, [][]byte{chunk}},
+		{"orphan_segment", func(t *testing.T, dir string, _ *segstore.Store) {
 			// A crash between segment publish and manifest append leaves
 			// a named segment no manifest line references.
-			if err := fsys.WriteFile(dir+"/seg-00000099.ckpt", []byte("orphan")); err != nil {
+			if err := (manifest.OSFS{}).WriteFile(filepath.Join(dir, "seg-00000099.lkseg"), []byte("orphan")); err != nil {
 				t.Fatal(err)
 			}
-		}, 2},
-		{"corrupt_append_payload", func(t *testing.T, dir string, fsys checkpoint.FS) {
-			// Bit rot in the append segment: its manifest CRC no longer
-			// matches, so recovery truncates the chain to the head.
-			names, err := fsys.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+		}, [][]byte{chunk}},
+		{"corrupt_append_payload", func(t *testing.T, dir string, st *segstore.Store) {
+			// Bit rot in the append's trace segment: its manifest CRC no
+			// longer matches, so a replay stops at the head.
 			var last string
-			for _, n := range names {
-				if n > last && len(n) > 5 && n[:4] == "seg-" {
-					last = n
+			for _, e := range st.Manifest() {
+				if e.Kind == segstore.KindTrace {
+					last = e.Name
 				}
 			}
-			data, err := fsys.ReadFile(dir + "/" + last)
+			path := filepath.Join(dir, last)
+			data, err := (manifest.OSFS{}).ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			data[len(data)/2] ^= 0xff
-			if err := fsys.WriteFile(dir+"/"+last, data); err != nil {
+			if err := (manifest.OSFS{}).WriteFile(path, data); err != nil {
 				t.Fatal(err)
 			}
-		}, 1},
+		}, nil},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			dir := t.TempDir()
-			fullDoc := build(t, dir)
-			tt.damage(t, dir, checkpoint.OSFS{})
+			s, st := faultStoreServer(t, dir, nil)
+			mustPost(t, s, "/v1/traces", raw)
+			mustPost(t, s, "/v1/traces?mode=append", chunk)
+			if got := servedState(t, s); got != fullState {
+				t.Fatal("store-backed server disagrees with the oracle before any damage")
+			}
+			tt.damage(t, dir, st)
+			_ = st.Close()
 
-			s := ckptServer(t, dir, nil)
-			replayed, err := s.RecoverCheckpoint()
-			if err != nil {
-				t.Fatal(err)
+			// The compacted state still holds every acknowledged byte.
+			s, st = reopen(t, dir, nil)
+			if got := servedState(t, s); got != fullState {
+				t.Error("recovered state differs from the acknowledged state")
 			}
-			if replayed != tt.want {
-				t.Fatalf("replayed %d segments, want %d", replayed, tt.want)
-			}
-			got := docBody(t, s)
-			if tt.want == 2 && got != fullDoc {
-				t.Error("full chain survived the damage but /v1/doc differs")
-			}
-			if tt.want == 1 {
-				// The truncated chain is the head alone: exactly what a
-				// head-only server serves — a valid prefix, not a blend.
-				headOnly := New(Config{Ingest: lenientIngest()})
-				if _, err := headOnly.LoadTrace(bytes.NewReader(raw), "head"); err != nil {
-					t.Fatal(err)
+			// Each append after a restart replays the chain's valid
+			// prefix; the result is that prefix plus every later
+			// acknowledged chunk — never a blend, and nothing lost
+			// behind the damage on the next replay.
+			acked := tt.survivors
+			for round := 1; round <= 2; round++ {
+				next := stripHeader(t, secondsOnlyChunk(t, sh, 40*round))
+				mustPost(t, s, "/v1/traces?mode=append", next)
+				acked = append(acked[:len(acked):len(acked)], next)
+				want := oracleState(t, acked...)
+				if got := servedState(t, s); got != want {
+					t.Fatalf("round %d: append after recovery does not extend the committed chain", round)
 				}
-				if got != docBody(t, headOnly) {
-					t.Error("truncated chain is not the head-only state")
+				_ = st.Close()
+				s, st = reopen(t, dir, nil)
+				if got := servedState(t, s); got != want {
+					t.Fatalf("round %d: the append after recovery did not survive a restart", round)
 				}
 			}
 		})
@@ -245,23 +270,18 @@ func TestChaosRecoverFromDamagedDirectory(t *testing.T) {
 }
 
 // TestChaosAppendRejectedBytesNeverResurface pins the ordering
-// invariant appendTrace relies on: bytes whose checkpoint write failed
-// were never consumed, so they are absent both from the live snapshot
-// and from every future recovery.
+// invariant appendTrace relies on: bytes whose commit failed were never
+// consumed, so they are absent both from the live snapshot and from
+// every future recovery — including the replay an append after the
+// restart runs.
 func TestChaosAppendRejectedBytesNeverResurface(t *testing.T) {
 	dir := t.TempDir()
-	ffs := faultinject.NewFaultFS(checkpoint.OSFS{})
-	st, err := checkpoint.Open(dir, checkpoint.Options{FS: ffs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{Ingest: lenientIngest(), Checkpoint: st, CheckpointRetry: fastServerRetry()})
+	ffs := faultinject.NewFaultFS(manifest.OSFS{})
+	s, st := faultStoreServer(t, dir, ffs)
 	raw := clockTraceBytes(t)
 	sh := discoverClockShape(t, raw)
-	if rec := do(t, s, "POST", "/v1/traces", bytes.NewReader(raw)); rec.Code != http.StatusCreated {
-		t.Fatalf("upload: %d %s", rec.Code, rec.Body.String())
-	}
-	want := docBody(t, s)
+	mustPost(t, s, "/v1/traces", raw)
+	want := servedState(t, s)
 
 	// Every durability write fails hard; the append must change nothing.
 	ffs.FailN(faultinject.OpWrite, 0, 1000, false)
@@ -269,17 +289,24 @@ func TestChaosAppendRejectedBytesNeverResurface(t *testing.T) {
 	if rec := do(t, s, "POST", "/v1/traces?mode=append", bytes.NewReader(chunk)); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("append with dead disk: status %d, want 503", rec.Code)
 	}
-	if docBody(t, s) != want {
+	if servedState(t, s) != want {
 		t.Fatal("rejected append changed the live snapshot")
 	}
 
 	// Crash and recover: the rejected bytes must not resurface.
 	ffs.Clear()
-	s2 := ckptServer(t, dir, nil)
-	if n, err := s2.RecoverCheckpoint(); err != nil || n != 1 {
-		t.Fatalf("recover: n=%d err=%v", n, err)
-	}
-	if docBody(t, s2) != want {
+	_ = st.Close()
+	s2, _ := reopen(t, dir, ffs)
+	if servedState(t, s2) != want {
 		t.Fatal("rejected append resurfaced after recovery")
+	}
+	// Nor in the replayed live store the next append extends.
+	other := stripHeader(t, secondsOnlyChunk(t, sh, 7))
+	oracle := New(Config{Ingest: lenientIngest()})
+	mustPost(t, oracle, "/v1/traces", raw)
+	mustPost(t, oracle, "/v1/traces?mode=append", other)
+	mustPost(t, s2, "/v1/traces?mode=append", other)
+	if servedState(t, s2) != servedState(t, oracle) {
+		t.Fatal("rejected append resurfaced in the replay after recovery")
 	}
 }

@@ -425,7 +425,7 @@ func (s *Server) uploadErr(w http.ResponseWriter, what string, err error, counte
 			"%s rejected: body exceeds the %d-byte limit", what, s.maxBody())
 		return
 	}
-	if errors.Is(err, ErrCheckpointWrite) {
+	if errors.Is(err, ErrStoreWrite) {
 		writeErr(w, http.StatusServiceUnavailable, "%s rejected: %s", what, err)
 		return
 	}
@@ -452,7 +452,7 @@ func (s *Server) handleTraceUpload(ns *namespace, w http.ResponseWriter, r *http
 	counted := &countingReader{r: body}
 	switch mode := r.URL.Query().Get("mode"); mode {
 	case "", "replace":
-		snap, err := ns.loadTrace(counted, "upload", true)
+		snap, err := ns.loadTrace(counted, "upload")
 		if err != nil {
 			// The reader state is unrecoverable mid-stream, but the previous
 			// snapshot is untouched — a bad upload never degrades service.
@@ -472,7 +472,7 @@ func (s *Server) handleTraceUpload(ns *namespace, w http.ResponseWriter, r *http
 			"degraded":     d.DegradedSummary(),
 		})
 	case "append":
-		snap, stats, err := ns.appendTrace(counted, "append", true)
+		snap, stats, err := ns.appendTrace(counted, "append")
 		if errors.Is(err, ErrNoBaseSnapshot) {
 			writeErr(w, http.StatusConflict, "%s", err)
 			return

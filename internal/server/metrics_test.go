@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestMetricsExpositionShape(t *testing.T) {
 		`lockdocd_request_duration_seconds_count{endpoint="/v1/rules"} 1`,
 		`lockdocd_request_duration_seconds_count{endpoint="/healthz"} 0`,
 		// Resilience signals: per-reason shed family, panic counter,
-		// budget and checkpoint gauges — all present even when idle.
+		// budget and store gauges — all present even when idle.
 		"# TYPE lockdocd_shed_total counter\n",
 		`lockdocd_shed_total{reason="rate"} 0`,
 		`lockdocd_shed_total{reason="concurrency"} 0`,
@@ -48,10 +49,9 @@ func TestMetricsExpositionShape(t *testing.T) {
 		`lockdocd_shed_total{reason="shutdown"} 0`,
 		"lockdocd_panics_total 0\n",
 		"lockdocd_mem_budget_used_bytes 0\n",
-		"lockdocd_checkpoint_degraded 0\n",
+		"lockdocd_store_degraded 0\n",
 		// Pipeline instruments recorded during the load and derivation.
 		"lockdoc_trace_events_decoded_total ",
-		"lockdoc_db_seals_total 1\n",
 		"lockdoc_core_groups_mined_total ",
 	} {
 		if !strings.Contains(body, want) {
@@ -66,6 +66,29 @@ func TestMetricsExpositionShape(t *testing.T) {
 	if strings.Contains(body, "lockdoc_trace_events_decoded_total 0\n") {
 		t.Error("trace decode counter stayed 0 after a load")
 	}
+	// The load sealed at least once. With more than one worker the fused
+	// pipeline also takes speculative seals, so the exact count depends
+	// on the host's CPUs.
+	if seals := metricValue(t, body, "lockdoc_db_seals_total"); seals < 1 {
+		t.Errorf("lockdoc_db_seals_total = %v after a load, want >= 1", seals)
+	}
+}
+
+// metricValue returns the value of the unlabeled sample name in a
+// /metrics body.
+func metricValue(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s sample", name)
+	return 0
 }
 
 // TestEnvelopeShape pins the /v1 JSON envelope: data on success, a

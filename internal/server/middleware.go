@@ -1,12 +1,15 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"runtime/debug"
 	"strconv"
 	"time"
+
+	"lockdoc/internal/segstore"
 )
 
 // shed refuses a request at the admission layer: envelope error,
@@ -56,18 +59,22 @@ func (s *Server) recoverPanic(w *statusWriter, r *http.Request) {
 // of racing it. Idempotent.
 func (s *Server) BeginShutdown() { s.stop() }
 
-// checkpointWrite runs one durability write with transient-failure
-// retries and maintains the degraded gauge: 1 after a write that
+// durableWrite runs one trace-chain commit with transient-failure
+// retries and maintains the degraded gauge: 1 after a commit that
 // failed even with retries, back to 0 on the next success. Callers
 // fail the ingest on error — the client learns its bytes are not
 // durable, and the on-disk chain stays a valid prefix of what was
-// served.
-func (s *Server) checkpointWrite(op func() error) error {
-	err := s.ckptRetry.Do(s.stopCtx, op)
-	if err != nil {
-		s.ckptDegraded.Store(true)
-		return fmt.Errorf("%w: %v", ErrCheckpointWrite, err)
+// served. Bytes the store cannot segment at all (segstore.ErrUnstorable)
+// are the client's problem, not the disk's: they pass through
+// unwrapped and leave the gauge alone.
+func (s *Server) durableWrite(op func() error) error {
+	err := s.storeRetry.Do(s.stopCtx, op)
+	if errors.Is(err, segstore.ErrUnstorable) {
+		return err
 	}
-	s.ckptDegraded.Store(false)
+	s.storeDegraded.Store(err != nil)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrStoreWrite, err)
+	}
 	return nil
 }

@@ -2,8 +2,8 @@
 // server machinery of the pre-namespace design: an appendable live
 // store wrapped in a fused StreamDeriver, a published immutable
 // Snapshot, an options-keyed derivation cache, its own generation and
-// epoch counters, and (when configured) its own segment-store or
-// checkpoint subdirectory. The Server holds these in the sharded
+// epoch counters, and (when configured) its own segment-store
+// subdirectory. The Server holds these in the sharded
 // registry and owns only what is genuinely global: admission control,
 // metrics, the memory budgets, and the eviction policy.
 package server
@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"lockdoc/internal/analysis"
-	"lockdoc/internal/checkpoint"
 	"lockdoc/internal/core"
 	"lockdoc/internal/db"
 	"lockdoc/internal/resilience"
@@ -62,11 +61,12 @@ type namespace struct {
 	// lock-free by the per-namespace gauge and the evictor.
 	resident atomic.Int64
 
-	// Durability backends. storeOwned marks a store the server opened
-	// itself under Config.StoreRoot — deletion then removes its
-	// directory; a store handed in via Config.Store belongs to the
-	// caller.
-	ckpt       *checkpoint.Store
+	// store is the durability backend (nil = in-memory only). Its
+	// trace chain is the commit point of every ingest; its state
+	// segment is a cache of that chain. storeOwned marks a store the
+	// server opened itself under Config.StoreRoot — deletion then
+	// removes its directory; a store handed in via Config.Store belongs
+	// to the caller.
 	store      *segstore.Store
 	storeOwned bool
 
@@ -81,27 +81,33 @@ func (ns *namespace) touch() {
 // snapshot returns the published snapshot or nil.
 func (ns *namespace) snapshot() *Snapshot { return ns.snap.Load() }
 
-// evicted reports whether the namespace currently holds no in-memory
-// state but has a durable backend to re-open from.
+// evictedState reports whether the namespace currently holds no
+// in-memory state but has a store to re-open from.
 func (ns *namespace) evictedState() bool {
-	return ns.snap.Load() == nil && (ns.store != nil || ns.ckpt != nil)
+	return ns.snap.Load() == nil && ns.store != nil
+}
+
+// readForStore buffers r when the namespace has a store: the commit
+// needs the raw bytes as well as the decoder.
+func (ns *namespace) readForStore(r io.Reader, source string) (io.Reader, []byte, error) {
+	if ns.store == nil {
+		return r, nil, nil
+	}
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("server: reading %s: %w", source, err)
+	}
+	return bytes.NewReader(raw), raw, nil
 }
 
 // loadTrace ingests a full trace into a fresh live store and publishes
 // it, replacing whatever the namespace held. See Server.LoadTrace for
 // the durability ordering contract.
-func (ns *namespace) loadTrace(r io.Reader, source string, persist bool) (*Snapshot, error) {
+func (ns *namespace) loadTrace(r io.Reader, source string) (*Snapshot, error) {
 	s := ns.srv
-	toCkpt := persist && ns.ckpt != nil
-	toStore := persist && ns.store != nil
-	var raw []byte
-	if toCkpt || toStore {
-		var err error
-		raw, err = io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("server: reading %s: %w", source, err)
-		}
-		r = bytes.NewReader(raw)
+	r, raw, err := ns.readForStore(r, source)
+	if err != nil {
+		return nil, err
 	}
 	counted := &countingReader{r: r}
 	tr, err := trace.NewReaderOptions(counted, s.cfg.Ingest)
@@ -142,32 +148,14 @@ func (ns *namespace) loadTrace(r io.Reader, source string, persist bool) (*Snaps
 	if err != nil {
 		return nil, fmt.Errorf("server: checking %s: %w", source, err)
 	}
-	if toCkpt {
-		// The trace is proven ingestible; make it durable before it
-		// becomes visible. Reset is atomic (the old chain survives any
-		// failure before its manifest swap), so a rejected load never
-		// costs the previous chain.
-		if err := s.checkpointWrite(func() error {
-			_, werr := ns.ckpt.Reset(raw)
-			return werr
-		}); err != nil {
+	if ns.store != nil {
+		// The trace is proven ingestible; commit it as the new trace
+		// chain before it becomes visible. ResetTrace swaps the manifest
+		// atomically, so a rejected load never costs the previous chain.
+		if err := s.durableWrite(func() error { return ns.store.ResetTrace(raw) }); err != nil {
 			return nil, fmt.Errorf("server: %s: %w", source, err)
 		}
-	}
-	if toStore {
-		// Same discipline for the segment store: the proven-ingestible
-		// bytes become the new trace chain, and the sealed view is
-		// compacted so the next reopen decodes state instead of
-		// replaying. A failure between the two steps can leave the
-		// store with the trace but no state — still consistent (reopen
-		// replays the trace), just slower — but the load is rejected
-		// and the served snapshot unchanged.
-		if err := ns.store.ResetTrace(raw); err != nil {
-			return nil, fmt.Errorf("server: %s: %w (%v)", source, ErrStoreWrite, err)
-		}
-		if err := ns.store.Compact(view); err != nil {
-			return nil, fmt.Errorf("server: %s: %w (%v)", source, ErrStoreWrite, err)
-		}
+		ns.compact(view)
 	}
 
 	ns.gen++
@@ -180,6 +168,7 @@ func (ns *namespace) loadTrace(r io.Reader, source string, persist bool) (*Snaps
 		LoadedAt: time.Now().UTC(),
 		Checks:   checks,
 	}
+	ns.dropLiveLocked()
 	ns.live = live
 	ns.sd = sd
 	adopted = true
@@ -195,26 +184,18 @@ func (ns *namespace) loadTrace(r io.Reader, source string, persist bool) (*Snaps
 
 // appendTrace merges a continuation into the live store. See
 // Server.AppendTrace for the contract.
-func (ns *namespace) appendTrace(r io.Reader, source string, persist bool) (*Snapshot, AppendStats, error) {
+func (ns *namespace) appendTrace(r io.Reader, source string) (*Snapshot, AppendStats, error) {
 	s := ns.srv
 	var stats AppendStats
-	toCkpt := persist && ns.ckpt != nil
-	toStore := persist && ns.store != nil
-	var raw []byte
-	if toCkpt || toStore {
-		var err error
-		raw, err = io.ReadAll(r)
-		if err != nil {
-			return nil, stats, fmt.Errorf("server: reading %s: %w", source, err)
-		}
-		r = bytes.NewReader(raw)
+	r, raw, err := ns.readForStore(r, source)
+	if err != nil {
+		return nil, stats, err
 	}
 	counted := &countingReader{r: r}
 	br := bufio.NewReaderSize(counted, 1<<16)
 	head, _ := br.Peek(4)
 	var tr *trace.Reader
 	if trace.HasHeader(head) {
-		var err error
 		tr, err = trace.NewReaderOptions(br, s.cfg.Ingest)
 		if err != nil {
 			return nil, stats, fmt.Errorf("server: reading %s: %w", source, err)
@@ -228,29 +209,36 @@ func (ns *namespace) appendTrace(r io.Reader, source string, persist bool) (*Sna
 
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if ns.live == nil {
-		return nil, stats, ErrNoBaseSnapshot
+	var prev *db.DB
+	if snap := ns.snap.Load(); snap != nil {
+		prev = snap.DB
 	}
-	if toCkpt {
-		if err := s.checkpointWrite(func() error {
-			_, werr := ns.ckpt.Append(raw)
-			return werr
-		}); err != nil {
+	if ns.live == nil {
+		if ns.store == nil || !ns.store.HasTrace() {
+			return nil, stats, ErrNoBaseSnapshot
+		}
+		// Reopened from compacted state (or evicted): rebuild the
+		// appendable live store from the committed chain first. Only the
+		// first append after a reopen pays for the replay.
+		view, _, err := ns.replayLocked()
+		if err != nil {
+			return nil, stats, err
+		}
+		ns.epoch++
+		prev = view
+		s.settleResident(ns, ns.storeFootprint())
+	}
+	if ns.store != nil {
+		// Commit before consume: consuming can stage partial per-context
+		// state even when it errors, and replaying the committed chain
+		// through the same reader is deterministic, so a recovered
+		// server reaches the pre-crash state including rejected-chunk
+		// staging effects. A failed commit consumed nothing.
+		if err := s.durableWrite(func() error { return ns.store.AppendTrace(raw) }); err != nil {
 			return nil, stats, fmt.Errorf("server: %s: %w", source, err)
 		}
 	}
-	if toStore {
-		// Store-before-consume, like the checkpoint: consuming can
-		// stage partial per-context state even when it errors, and
-		// replaying the stored bytes through this same path is
-		// deterministic, so a recovered server reaches the pre-crash
-		// state including rejected-chunk staging effects.
-		if err := ns.store.AppendTrace(raw); err != nil {
-			return nil, stats, fmt.Errorf("server: %s: %w (%v)", source, ErrStoreWrite, err)
-		}
-	}
 	start := time.Now()
-	prev := ns.snap.Load()
 	n, err := ns.sd.Consume(tr)
 	if err != nil {
 		return nil, stats, fmt.Errorf("server: appending %s: %w", source, err)
@@ -268,14 +256,10 @@ func (ns *namespace) appendTrace(r io.Reader, source string, persist bool) (*Sna
 	if err != nil {
 		return nil, stats, fmt.Errorf("server: checking %s: %w", source, err)
 	}
-	if toStore {
+	if ns.store != nil {
 		// Compact before publishing so a restart reopens at this
-		// generation. On failure the append is rejected like a consume
-		// error — events stay staged in the live store, the trace
-		// segments already hold the bytes, and the snapshot stands.
-		if err := ns.store.Compact(view); err != nil {
-			return nil, stats, fmt.Errorf("server: %s: %w (%v)", source, ErrStoreWrite, err)
-		}
+		// generation without a replay.
+		ns.compact(view)
 	}
 
 	ns.gen++
@@ -288,7 +272,7 @@ func (ns *namespace) appendTrace(r io.Reader, source string, persist bool) (*Sna
 		Checks:   checks,
 	}
 	stats.Events = n
-	stats.Dirty = view.DirtyGroupsSince(prev.DB)
+	stats.Dirty = view.DirtyGroupsSince(prev)
 	stats.Premined = sstats.Delta.Reused
 	ns.snap.Store(snap)
 	// The definitive pass of this append already holds the
@@ -305,62 +289,133 @@ func (ns *namespace) appendTrace(r io.Reader, source string, persist bool) (*Sna
 	return snap, stats, nil
 }
 
+// compact refreshes the store's state segment from a view whose trace
+// is already committed. It is best-effort: the state is a cache of the
+// trace chain, so a failure only costs the next reopen a replay. It
+// sets the degraded gauge and logs; the ingest still publishes.
+func (ns *namespace) compact(view *db.DB) {
+	s := ns.srv
+	if err := ns.store.Compact(view); err != nil {
+		s.storeDegraded.Store(true)
+		if s.cfg.Log != nil {
+			fmt.Fprintf(s.cfg.Log, "lockdocd: namespace %s: compacting state (next reopen replays the trace): %v\n", ns.name, err)
+		}
+	}
+}
+
+// replayLocked rebuilds the appendable live store from the store's
+// committed trace chain through the fused pipeline (segment decode and
+// rule mining overlap, so replay pays max(decode, mine) rather than
+// their sum) and adopts it as the namespace's live store. It returns
+// the sealed view and its default-options rules; publishing is the
+// caller's job. Caller holds ns.mu.
+func (ns *namespace) replayLocked() (*db.DB, []core.Result, error) {
+	s := ns.srv
+	// The live store built here is what new commits extend, so the
+	// chain must not continue past a damaged segment the replay stops at.
+	if dropped, err := ns.store.RepairTrace(); err != nil {
+		return nil, nil, fmt.Errorf("server: %w (%v)", ErrStoreWrite, err)
+	} else if dropped > 0 && s.cfg.Log != nil {
+		fmt.Fprintf(s.cfg.Log, "lockdocd: namespace %s: cut %d store entries at a damaged trace segment\n", ns.name, dropped)
+	}
+	tr := trace.NewContinuationReader(ns.store.TraceReader(), s.cfg.Ingest)
+	live := db.New(s.importConfig())
+	sd := core.NewStreamDeriver(live, s.streamOptions())
+	if _, err := sd.Consume(tr); err != nil {
+		sd.Close()
+		return nil, nil, fmt.Errorf("server: replaying store trace: %w", err)
+	}
+	view, results, _, err := sd.Derive(s.stopCtx)
+	if err != nil {
+		sd.Close()
+		return nil, nil, fmt.Errorf("server: deriving store trace: %w", err)
+	}
+	if view.RawAccesses == 0 && len(view.Groups()) == 0 {
+		sd.Close()
+		return nil, nil, fmt.Errorf("server: store trace contains no decodable observations%s",
+			degradedSuffix(view))
+	}
+	ns.dropLiveLocked()
+	ns.live, ns.sd = live, sd
+	return view, results, nil
+}
+
+// dropLiveLocked releases the appendable live store and its deriver.
+// Caller holds ns.mu.
+func (ns *namespace) dropLiveLocked() {
+	if ns.sd != nil {
+		ns.sd.Close()
+	}
+	ns.live, ns.sd = nil, nil
+}
+
+// storeFootprint is the resident-byte estimate of a namespace opened
+// from its store: groups hydrate lazily from compressed blocks, so the
+// on-disk segment bytes stand in for the (unknown until hydrated) raw
+// trace size.
+func (ns *namespace) storeFootprint() int64 {
+	var n int64
+	for _, e := range ns.store.Manifest() {
+		n += e.Size
+	}
+	return n
+}
+
+// traceSegments counts the trace segments in the store's manifest.
+func (ns *namespace) traceSegments() uint64 {
+	var n uint64
+	for _, e := range ns.store.Manifest() {
+		if e.Kind == segstore.KindTrace {
+			n++
+		}
+	}
+	return n
+}
+
 // openStoreLocked republishes the namespace's segment store content —
-// the fast path decodes the newest compacted state segment and groups
-// hydrate lazily; with no usable state it falls back to replaying the
-// trace segments. Returns (nil, nil) on an empty store. Caller holds
-// ns.mu.
+// the fast path decodes the compacted state segment and groups hydrate
+// lazily; when the state is missing, damaged or behind the trace chain
+// it falls back to replaying the trace segments. Returns (nil, nil) on
+// an empty store. Caller holds ns.mu.
 func (ns *namespace) openStoreLocked() (*Snapshot, error) {
 	s := ns.srv
 	if ns.store == nil {
 		return nil, errors.New("server: no segment store configured")
 	}
-	view, ok, err := ns.store.LoadState()
-	if err != nil {
-		return nil, err
+	var (
+		view          *db.DB
+		ok            bool
+		err           error
+		replayResults []core.Result
+	)
+	if ns.store.StateCurrent() {
+		if view, ok, err = ns.store.LoadState(); err != nil {
+			return nil, err
+		}
 	}
 	source := "store:" + ns.store.Dir()
-	var live *db.DB
-	var sd *core.StreamDeriver
-	var replayResults []core.Result
-	if !ok {
+	if ok {
+		ns.dropLiveLocked()
+	} else {
 		if !ns.store.HasTrace() {
 			return nil, nil
 		}
 		source = "store-replay:" + ns.store.Dir()
-		tr := trace.NewContinuationReader(ns.store.TraceReader(), s.cfg.Ingest)
-		live = db.New(s.importConfig())
-		// Replay through the fused pipeline: segment decode and rule
-		// mining overlap, so the recovery path pays max(decode, mine)
-		// rather than their sum.
-		sd = core.NewStreamDeriver(live, s.streamOptions())
-		adopted := false
-		defer func() {
-			if !adopted {
-				sd.Close()
-			}
-		}()
-		if _, err := sd.Consume(tr); err != nil {
-			return nil, fmt.Errorf("server: replaying store trace: %w", err)
+		if view, replayResults, err = ns.replayLocked(); err != nil {
+			return nil, err
 		}
-		var derr error
-		if view, replayResults, _, derr = sd.Derive(s.stopCtx); derr != nil {
-			return nil, fmt.Errorf("server: deriving store trace: %w", derr)
-		}
-		adopted = true
-		if view.RawAccesses == 0 && len(view.Groups()) == 0 {
-			return nil, fmt.Errorf("server: store trace contains no decodable observations%s",
-				degradedSuffix(view))
-		}
-		if err := ns.store.Compact(view); err != nil {
-			return nil, fmt.Errorf("server: %w (%v)", ErrStoreWrite, err)
-		}
+		ns.compact(view)
 	}
 	checks, err := analysis.CheckAll(view, s.rules)
 	if err != nil {
 		return nil, fmt.Errorf("server: checking store state: %w", err)
 	}
-	ns.gen++
+	// A restart resumes the generation at the trace segment count. That
+	// is a floor, not an exact restore: an append with an empty payload
+	// bumps the generation without adding a segment, and a chunk that is
+	// committed and then rejected adds one without a bump. Within a
+	// process the generation never moves backwards.
+	ns.gen = max(ns.gen+1, ns.traceSegments())
 	ns.epoch++
 	snap := &Snapshot{
 		Gen:      ns.gen,
@@ -370,111 +425,38 @@ func (ns *namespace) openStoreLocked() (*Snapshot, error) {
 		LoadedAt: time.Now().UTC(),
 		Checks:   checks,
 	}
-	ns.live = live
-	ns.sd = sd
 	ns.snap.Store(snap)
 	ns.cache.reset()
 	if replayResults != nil {
-		ns.cache.adopt(sd.Options().Key(), replayResults, snap.Gen, snap.Epoch)
+		ns.cache.adopt(ns.sd.Options().Key(), replayResults, snap.Gen, snap.Epoch)
 	}
-	// Resident accounting for a state-backed reopen is an estimate:
-	// groups hydrate lazily from compressed blocks, so charge the
-	// on-disk segment bytes rather than the (unknown until hydrated)
-	// raw trace size. The replay path reads the real bytes but the
-	// estimate stays consistent across both reopen flavours.
-	var est int64
-	for _, e := range ns.store.Manifest() {
-		est += e.Size
-	}
-	s.settleResident(ns, est)
+	// Both reopen flavours charge the same estimate, whether or not the
+	// replay read the real bytes.
+	s.settleResident(ns, ns.storeFootprint())
 	s.m.reloads.Inc()
 	return snap, nil
 }
 
-// recoverCheckpointLocked replays the namespace's checkpoint chain:
-// the recovered Full head loads, each Append chunk appends, exactly as
-// the original requests did. Replay never re-checkpoints (the bytes
-// are already durable). A segment that errors during replay is logged
-// and skipped: ingestion is deterministic, so it failed the same way
-// before the crash and its staging effects are reproduced regardless.
-// Returns the number of segments replayed cleanly. Must be called
-// WITHOUT ns.mu held (the per-segment replays take it themselves).
-func (ns *namespace) recoverCheckpoint() (int, error) {
-	s := ns.srv
-	if ns.ckpt == nil {
-		return 0, nil
-	}
-	segs, discarded, err := ns.ckpt.Recover()
-	if err != nil {
-		return 0, fmt.Errorf("server: recovering checkpoint: %w", err)
-	}
-	if discarded > 0 && s.cfg.Log != nil {
-		fmt.Fprintf(s.cfg.Log, "lockdocd: checkpoint recovery discarded %d torn or damaged segment(s)\n", discarded)
-	}
-	replayed := 0
-	for _, seg := range segs {
-		source := "checkpoint/" + seg.Name
-		var rerr error
-		switch seg.Kind {
-		case checkpoint.Full:
-			_, rerr = ns.loadTrace(bytes.NewReader(seg.Data), source, false)
-		case checkpoint.Append:
-			_, _, rerr = ns.appendTrace(bytes.NewReader(seg.Data), source, false)
-		}
-		if rerr != nil {
-			if s.cfg.Log != nil {
-				fmt.Fprintf(s.cfg.Log, "lockdocd: replaying %s: %v\n", source, rerr)
-			}
-			continue
-		}
-		replayed++
-	}
-	return replayed, nil
-}
-
-// ensureOpen lazily re-hydrates an evicted namespace from its durable
-// backend: the segment-store fast path when a store is configured,
-// otherwise a checkpoint-chain replay. A namespace that was never
-// loaded (no durable content) is left empty — the caller's
-// snapshotOr503 answers as before. Safe to call concurrently; the
-// first caller pays the reopen, the rest wait on ns.mu and find the
-// published snapshot.
+// ensureOpen lazily re-hydrates an evicted namespace from its store. A
+// namespace that was never loaded (no durable content) is left empty —
+// the caller's snapshotOr503 answers as before. Safe to call
+// concurrently; the first caller pays the reopen, the rest wait on
+// ns.mu and find the published snapshot.
 func (ns *namespace) ensureOpen() error {
-	if ns.snap.Load() != nil {
+	if ns.snap.Load() != nil || ns.store == nil {
 		return nil
 	}
-	if ns.store != nil {
-		ns.mu.Lock()
-		if ns.snap.Load() != nil { // lost the race to another reopener
-			ns.mu.Unlock()
-			return nil
-		}
-		snap, err := ns.openStoreLocked()
-		ns.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		if snap != nil {
-			ns.nm.reopens.Inc()
-		}
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	if ns.snap.Load() != nil { // lost the race to another reopener
 		return nil
 	}
-	if ns.ckpt != nil {
-		// Serialize the whole replay on a snapshot re-check so two
-		// concurrent reopeners do not both replay the chain.
-		ns.mu.Lock()
-		replay := ns.snap.Load() == nil && ns.live == nil
-		ns.mu.Unlock()
-		if !replay {
-			return nil
-		}
-		n, err := ns.recoverCheckpoint()
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			ns.nm.reopens.Inc()
-		}
+	snap, err := ns.openStoreLocked()
+	if err != nil {
+		return err
+	}
+	if snap != nil {
+		ns.nm.reopens.Inc()
 	}
 	return nil
 }

@@ -225,6 +225,75 @@ func TestNamespaceLifecycleEvictReopen(t *testing.T) {
 			t.Errorf("metrics missing %q", needle)
 		}
 	}
+
+	// An evicted namespace stays appendable: the append replays the
+	// committed chain and lands as it would have without the eviction.
+	if !s.evictNS(ns) {
+		t.Fatal("second eviction refused")
+	}
+	if rec := do(t, s, "POST", "/v1/ns/tenant/traces?mode=append", bytes.NewReader(raw)); rec.Code != http.StatusCreated {
+		t.Fatalf("append after evict: %d %s", rec.Code, rec.Body.String())
+	}
+	oracle := New(Config{})
+	for _, target := range []string{"/v1/traces", "/v1/traces?mode=append", "/v1/traces?mode=append"} {
+		if rec := do(t, oracle, "POST", target, bytes.NewReader(raw)); rec.Code != http.StatusCreated {
+			t.Fatalf("oracle POST %s: %d", target, rec.Code)
+		}
+	}
+	for _, ep := range []string{"doc?type=clock", "rules"} {
+		if body(t, s, "/v1/ns/tenant/"+ep) != body(t, oracle, "/v1/"+ep) {
+			t.Errorf("/%s after an append to the evicted namespace diverges from the never-evicted oracle", ep)
+		}
+	}
+}
+
+// TestEvictedNamespaceConcurrentAppendAndRead races the two ways an
+// evicted namespace comes back — a read re-opening it from compacted
+// state and an append replaying its trace chain — against each other.
+// Every append must land exactly once whichever wins.
+func TestEvictedNamespaceConcurrentAppendAndRead(t *testing.T) {
+	s := New(Config{StoreRoot: t.TempDir(), Ingest: lenientIngest()})
+	raw := clockTraceBytes(t)
+	chunk := stripHeader(t, secondsOnlyChunk(t, discoverClockShape(t, raw), 9))
+	mustPost(t, s, "/v1/ns/t/traces", raw)
+	if !s.evictNS(s.reg.get("t")) {
+		t.Fatal("eviction refused")
+	}
+
+	const appenders, appends = 2, 3
+	var wg sync.WaitGroup
+	for i := 0; i < appenders; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < appends; j++ {
+				if rec := do(t, s, "POST", "/v1/ns/t/traces?mode=append", bytes.NewReader(chunk)); rec.Code != http.StatusCreated {
+					t.Errorf("append: %d %s", rec.Code, rec.Body.String())
+				}
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 3; j++ {
+				if rec := do(t, s, "GET", "/v1/ns/t/doc?type=clock", nil); rec.Code != http.StatusOK {
+					t.Errorf("doc: %d %s", rec.Code, rec.Body.String())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	oracle := New(Config{Ingest: lenientIngest()})
+	mustPost(t, oracle, "/v1/traces", raw)
+	for i := 0; i < appenders*appends; i++ {
+		mustPost(t, oracle, "/v1/traces?mode=append", chunk)
+	}
+	if got, want := body(t, s, "/v1/ns/t/rules"), body(t, oracle, "/v1/rules"); got != want {
+		t.Error("concurrent appends and reopens diverged from the sequential oracle")
+	}
 }
 
 // TestNamespaceBudgetEviction pins the global memory budget: loading N

@@ -115,8 +115,8 @@ func (r *nsRegistry) count() int {
 
 // validNsName reports whether a client-supplied namespace id is
 // acceptable: 1–64 characters of [A-Za-z0-9_-]. The character set is
-// deliberately path-safe — namespace ids become store and checkpoint
-// subdirectory names, so traversal bytes must never pass.
+// deliberately path-safe — namespace ids become store subdirectory
+// names, so traversal bytes must never pass.
 func validNsName(name string) bool {
 	if len(name) == 0 || len(name) > 64 {
 		return false

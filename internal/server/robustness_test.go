@@ -11,10 +11,11 @@ import (
 	"testing"
 	"time"
 
-	"lockdoc/internal/checkpoint"
 	"lockdoc/internal/faultinject"
+	"lockdoc/internal/manifest"
 	"lockdoc/internal/resilience"
 	"lockdoc/internal/trace"
+	"lockdoc/internal/workload"
 )
 
 // lenientIngest is the ReaderOptions every robustness fixture uses.
@@ -295,17 +296,6 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
-// ckptServer builds a server persisting into dir through fs (nil fs
-// means the real filesystem).
-func ckptServer(t testing.TB, dir string, fsys checkpoint.FS) *Server {
-	t.Helper()
-	st, err := checkpoint.Open(dir, checkpoint.Options{FS: fsys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return New(Config{Ingest: lenientIngest(), Checkpoint: st})
-}
-
 // docBody fetches the rendered /v1/doc for the clock type.
 func docBody(t testing.TB, s *Server) string {
 	t.Helper()
@@ -316,117 +306,165 @@ func docBody(t testing.TB, s *Server) string {
 	return rec.Body.String()
 }
 
-// TestCheckpointRecoveryByteIdentical pins the durability tentpole: a
-// server that checkpointed a load plus appends is abandoned ("crash"),
-// a fresh server recovers the directory, and /v1/doc is byte-identical
-// to what the dead server served.
-func TestCheckpointRecoveryByteIdentical(t *testing.T) {
-	dir := t.TempDir()
+// TestStoreWriteFailure pins the degraded path: when the trace-chain
+// commit fails even after retries, the ingest is rejected with 503 (the
+// disk failed, not the trace), the previous snapshot keeps serving, the
+// degraded gauge reads 1 — and it clears once the disk recovers.
+func TestStoreWriteFailure(t *testing.T) {
+	ffs := faultinject.NewFaultFS(manifest.OSFS{})
+	s, _ := faultStoreServer(t, t.TempDir(), ffs)
 	raw := clockTraceBytes(t)
 	sh := discoverClockShape(t, raw)
-
-	s1 := ckptServer(t, dir, nil)
-	if rec := do(t, s1, "POST", "/v1/traces", bytes.NewReader(raw)); rec.Code != http.StatusCreated {
-		t.Fatalf("upload: %d %s", rec.Code, rec.Body.String())
-	}
-	for i := 1; i <= 3; i++ {
-		chunk := secondsOnlyChunk(t, sh, 16*i)
-		if i == 2 {
-			chunk = stripHeader(t, chunk) // bare continuation blocks append too
-		}
-		if rec := do(t, s1, "POST", "/v1/traces?mode=append", bytes.NewReader(chunk)); rec.Code != http.StatusCreated {
-			t.Fatalf("append %d: %d %s", i, rec.Code, rec.Body.String())
-		}
-	}
-	want := docBody(t, s1)
-	wantGen := s1.Snapshot().Gen
-
-	// Crash: the process is gone; only the checkpoint directory remains.
-	s2 := ckptServer(t, dir, nil)
-	replayed, err := s2.RecoverCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replayed != 4 {
-		t.Fatalf("recovered %d segments, want 4", replayed)
-	}
-	if got := docBody(t, s2); got != want {
-		t.Errorf("recovered /v1/doc differs from pre-crash doc:\n--- want\n%s\n--- got\n%s", want, got)
-	}
-	if gen := s2.Snapshot().Gen; gen != wantGen {
-		t.Errorf("recovered generation %d, want %d", gen, wantGen)
-	}
-}
-
-// TestCheckpointWriteFailure pins the degraded path: when the
-// durability write fails even after retries, the ingest is rejected
-// with 503, the previous snapshot keeps serving, the degraded gauge
-// reads 1 — and it clears once the disk recovers.
-func TestCheckpointWriteFailure(t *testing.T) {
-	dir := t.TempDir()
-	ffs := faultinject.NewFaultFS(checkpoint.OSFS{})
-	s := ckptServer(t, dir, ffs)
-	raw := clockTraceBytes(t)
-	sh := discoverClockShape(t, raw)
-	if rec := do(t, s, "POST", "/v1/traces", bytes.NewReader(raw)); rec.Code != http.StatusCreated {
-		t.Fatalf("upload: %d %s", rec.Code, rec.Body.String())
-	}
-	want := docBody(t, s)
+	mustPost(t, s, "/v1/traces", raw)
+	want := servedState(t, s)
 
 	// Hard (non-transient) write faults: retries must not mask them.
 	ffs.FailN(faultinject.OpWrite, 0, 1000, false)
 	chunk := secondsOnlyChunk(t, sh, 16)
 	rec := do(t, s, "POST", "/v1/traces?mode=append", bytes.NewReader(chunk))
 	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("append with dead checkpoint volume: status %d, want 503: %s", rec.Code, rec.Body.String())
+		t.Fatalf("append with dead store volume: status %d, want 503: %s", rec.Code, rec.Body.String())
 	}
-	if !strings.Contains(rec.Body.String(), "checkpoint write failed") {
+	if !strings.Contains(rec.Body.String(), "store write failed") {
 		t.Errorf("503 body: %s", rec.Body.String())
 	}
-	if got := docBody(t, s); got != want {
+	if got := servedState(t, s); got != want {
 		t.Error("rejected append mutated the served snapshot")
 	}
 	body := do(t, s, "GET", "/metrics", nil).Body.String()
-	if !strings.Contains(body, "lockdocd_checkpoint_degraded 1") {
+	if !strings.Contains(body, "lockdocd_store_degraded 1") {
 		t.Errorf("/metrics missing degraded=1 after failed write:\n%s", body)
 	}
 
 	// Disk recovers; the same append goes through and degraded clears.
 	ffs.Clear()
-	if rec := do(t, s, "POST", "/v1/traces?mode=append", bytes.NewReader(chunk)); rec.Code != http.StatusCreated {
-		t.Fatalf("append after recovery: %d %s", rec.Code, rec.Body.String())
-	}
+	mustPost(t, s, "/v1/traces?mode=append", chunk)
 	body = do(t, s, "GET", "/metrics", nil).Body.String()
-	if !strings.Contains(body, "lockdocd_checkpoint_degraded 0") {
+	if !strings.Contains(body, "lockdocd_store_degraded 0") {
 		t.Errorf("/metrics missing degraded=0 after recovery:\n%s", body)
 	}
 }
 
-// TestCheckpointTransientWriteRetried pins the retry distinction: a
-// write fault that clears after two attempts is absorbed by the
-// backoff loop and the client never sees it.
-func TestCheckpointTransientWriteRetried(t *testing.T) {
-	dir := t.TempDir()
-	ffs := faultinject.NewFaultFS(checkpoint.OSFS{})
-	st, err := checkpoint.Open(dir, checkpoint.Options{FS: ffs})
+// TestStoreRejectsUnstorableTrace pins the other side of the 503
+// mapping: a v1 trace decodes, but the store cannot segment it, so the
+// load answers 400 — the bytes are at fault, not the disk — commits
+// nothing, and leaves the degraded gauge at 0.
+func TestStoreRejectsUnstorableTrace(t *testing.T) {
+	s, st := faultStoreServer(t, t.TempDir(), nil)
+	var v1 bytes.Buffer
+	w, err := trace.NewWriterOptions(&v1, trace.WriterOptions{Version: trace.FormatV1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Ingest: lenientIngest(), Checkpoint: st,
-		CheckpointRetry: fastServerRetry()})
+	if _, err := workload.RunClockExample(w, 42, 200); err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, s, "POST", "/v1/traces", &v1); rec.Code != http.StatusBadRequest {
+		t.Fatalf("v1 upload into a store: status %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	if st.HasTrace() {
+		t.Error("an unstorable trace was committed")
+	}
+	if body := do(t, s, "GET", "/metrics", nil).Body.String(); !strings.Contains(body, "lockdocd_store_degraded 0") {
+		t.Errorf("an unstorable trace marked the store degraded:\n%s", body)
+	}
+}
+
+// TestStoreTransientWriteRetried pins the retry distinction: a write
+// fault that clears after two attempts is absorbed by the backoff loop
+// and the client never sees it.
+func TestStoreTransientWriteRetried(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultinject.NewFaultFS(manifest.OSFS{})
+	s, st := faultStoreServer(t, dir, ffs)
 	raw := clockTraceBytes(t)
 	ffs.FailN(faultinject.OpWrite, 0, 2, true) // transient: fails twice, then succeeds
-	rec := do(t, s, "POST", "/v1/traces", bytes.NewReader(raw))
-	if rec.Code != http.StatusCreated {
-		t.Fatalf("upload with transient checkpoint faults: %d %s", rec.Code, rec.Body.String())
-	}
+	mustPost(t, s, "/v1/traces", raw)
 	body := do(t, s, "GET", "/metrics", nil).Body.String()
-	if !strings.Contains(body, "lockdocd_checkpoint_degraded 0") {
+	if !strings.Contains(body, "lockdocd_store_degraded 0") {
 		t.Errorf("transient faults left the server degraded:\n%s", body)
 	}
 	// And the chain on disk is recoverable.
-	s2 := ckptServer(t, dir, nil)
-	if n, err := s2.RecoverCheckpoint(); err != nil || n != 1 {
-		t.Fatalf("recover after transient faults: n=%d err=%v", n, err)
+	want := servedState(t, s)
+	_ = st.Close()
+	if s2, _ := reopen(t, dir, nil); servedState(t, s2) != want {
+		t.Error("recovery after transient faults serves a different doc")
+	}
+}
+
+// TestStoreCompactionIsBestEffort pins the commit point: once the trace
+// chain holds an append, a failed compaction neither rejects it (a
+// retry would ingest the bytes twice) nor loses it — the degraded gauge
+// reads 1, the append publishes, and a restart replays the chain
+// because the state segment is behind it.
+func TestStoreCompactionIsBestEffort(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultinject.NewFaultFS(manifest.OSFS{})
+	s, st := faultStoreServer(t, dir, ffs)
+	oracle := New(Config{Ingest: lenientIngest()})
+	raw := clockTraceBytes(t)
+	sh := discoverClockShape(t, raw)
+	chunk := secondsOnlyChunk(t, sh, 16)
+	for _, srv := range []*Server{s, oracle} {
+		mustPost(t, srv, "/v1/traces", raw)
+	}
+
+	// Write 0 is the trace segment (the commit); every later write —
+	// the state segment and the manifest swap — fails.
+	ffs.Clear()
+	ffs.FailN(faultinject.OpWrite, 1, 1000, false)
+	for _, srv := range []*Server{s, oracle} {
+		mustPost(t, srv, "/v1/traces?mode=append", chunk)
+	}
+	want := servedState(t, oracle)
+	if servedState(t, s) != want {
+		t.Error("append with a failed compaction is not served")
+	}
+	if body := do(t, s, "GET", "/metrics", nil).Body.String(); !strings.Contains(body, "lockdocd_store_degraded 1") {
+		t.Errorf("/metrics missing degraded=1 after a failed compaction:\n%s", body)
+	}
+
+	ffs.Clear()
+	_ = st.Close()
+	s2, _ := reopen(t, dir, nil)
+	if src := s2.Snapshot().Source; !strings.HasPrefix(src, "store-replay:") {
+		t.Errorf("snapshot source = %q: a state behind the trace chain was served", src)
+	}
+	if servedState(t, s2) != want {
+		t.Error("restart lost the append whose compaction failed")
+	}
+}
+
+// TestStoreReplayReadFaultCutsNothing pins the transient side of the
+// replay that the first append after a reopen runs: a read fault on a
+// trace segment answers 503 and leaves every store entry in place, and
+// the retried append lands on the full chain.
+func TestStoreReplayReadFaultCutsNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, st := faultStoreServer(t, dir, nil)
+	oracle := New(Config{Ingest: lenientIngest()})
+	raw := clockTraceBytes(t)
+	chunk := secondsOnlyChunk(t, discoverClockShape(t, raw), 16)
+	for _, srv := range []*Server{s, oracle} {
+		mustPost(t, srv, "/v1/traces", raw)
+	}
+	_ = st.Close()
+
+	ffs := faultinject.NewFaultFS(manifest.OSFS{})
+	s2, st2 := reopen(t, dir, ffs)
+	entries := len(st2.Manifest())
+	ffs.Clear()
+	ffs.FailN(faultinject.OpRead, 0, 1, true)
+	if rec := do(t, s2, "POST", "/v1/traces?mode=append", bytes.NewReader(chunk)); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("append under a read fault: status %d, want 503: %s", rec.Code, rec.Body.String())
+	}
+	if got := len(st2.Manifest()); got != entries {
+		t.Fatalf("a transient read fault cut the store from %d to %d entries", entries, got)
+	}
+	for _, srv := range []*Server{s2, oracle} {
+		mustPost(t, srv, "/v1/traces?mode=append", chunk)
+	}
+	if servedState(t, s2) != servedState(t, oracle) {
+		t.Error("retried append after a read fault differs from the oracle")
 	}
 }

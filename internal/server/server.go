@@ -9,7 +9,7 @@
 //   - the service is multi-tenant: a sharded namespace registry maps
 //     tenant ids onto independent per-namespace states, each owning its
 //     own live db.DB, StreamDeriver, epoch counter, derivation cache
-//     and (when configured) segment-store or checkpoint subdirectory.
+//     and (when configured) segment-store subdirectory.
 //     The legacy /v1/* surface aliases the "default" namespace, so a
 //     single-tenant deployment never notices the registry,
 //   - the live db.DB keeps per-context reconstruction state (held-lock
@@ -33,7 +33,10 @@
 //     evicts idle namespaces LRU-first: eviction drops the snapshot,
 //     deriver and caches but keeps the on-disk store, and the evicted
 //     tenant's next query transparently re-opens from the compacted
-//     state segment.
+//     state segment,
+//   - durability has one backend, the segment store: the trace chain is
+//     the commit point of every acknowledged ingest and the compacted
+//     state segment is a cache of it (DESIGN.md §13).
 package server
 
 import (
@@ -50,7 +53,6 @@ import (
 	"time"
 
 	"lockdoc/internal/analysis"
-	"lockdoc/internal/checkpoint"
 	"lockdoc/internal/core"
 	"lockdoc/internal/db"
 	"lockdoc/internal/fs"
@@ -70,14 +72,10 @@ const DefaultCacheSize = 64
 // a continuation has nothing to resume from.
 var ErrNoBaseSnapshot = errors.New("server: no base trace to append to; upload a full trace first")
 
-// ErrCheckpointWrite marks an ingest rejected because its durability
-// write failed even after retries. The previous snapshot is still
-// served and the on-disk chain is unchanged; the client should retry
-// once the checkpoint volume recovers.
-var ErrCheckpointWrite = errors.New("checkpoint write failed; ingest rejected to preserve durability")
-
 // ErrStoreWrite marks an ingest rejected because the segment store
-// could not persist it. The previous snapshot stays served.
+// could not commit it even after retries. Nothing was consumed: the
+// previous snapshot is still served and the on-disk trace chain is
+// unchanged, so the client should retry once the volume recovers.
 var ErrStoreWrite = errors.New("segment store write failed; ingest rejected to preserve durability")
 
 // errNsLimit rejects namespace creation past Config.MaxNamespaces.
@@ -127,27 +125,19 @@ type Config struct {
 	// 413. 0 means the 512 MiB default.
 	MaxBodyBytes int64
 
-	// Checkpoint, when non-nil, makes the default namespace's ingestion
-	// durable: the raw bytes of every accepted load and append are
-	// checkpointed (with transient-failure retries per CheckpointRetry)
-	// before the snapshot publishes, and RecoverCheckpoint replays the
-	// chain after a crash. A checkpoint write that fails even after
-	// retries rejects the ingest — the previous snapshot stays served —
-	// rather than silently dropping durability.
-	Checkpoint *checkpoint.Store
-	// CheckpointRetry is the backoff policy for transient checkpoint
-	// write failures. Zero Attempts means resilience.DefaultBackoff.
-	CheckpointRetry resilience.Backoff
-
 	// Store, when non-nil, persists the default namespace's ingestion
-	// into a compressed segment store: every accepted load or append
-	// writes its raw blocks as trace segments before the live store
-	// consumes them, and every published snapshot is compacted into a
-	// state segment, so OpenStore on the next start republishes it
-	// without replaying the trace. Mutually exclusive with Checkpoint
-	// in lockdocd (two replay sources would fight over recovery); the
-	// server itself only requires that recovery use one of them.
+	// into a compressed segment store. Every accepted load or append
+	// commits its raw blocks to the trace chain (with transient-failure
+	// retries per StoreRetry) before the live store consumes them; a
+	// commit that fails even after retries rejects the ingest — the
+	// previous snapshot stays served — rather than silently dropping
+	// durability. Every published snapshot is then compacted into a
+	// state segment, best-effort, so OpenStore on the next start
+	// republishes it without replaying the trace.
 	Store *segstore.Store
+	// StoreRetry is the backoff policy for transient trace-chain commit
+	// failures. Zero Attempts means resilience.DefaultBackoff.
+	StoreRetry resilience.Backoff
 
 	// StoreRoot, when non-empty, roots per-namespace segment stores:
 	// namespace NAME persists under StoreRoot/NAME, opened lazily at
@@ -156,10 +146,6 @@ type Config struct {
 	// under StoreRoot makes the default namespace use StoreRoot itself.
 	// Ignored for the default namespace when Store is also set.
 	StoreRoot string
-	// CheckpointRoot is StoreRoot's analog for checkpoint chains:
-	// namespace NAME checkpoints under CheckpointRoot/NAME (same
-	// legacy-layout compatibility rule).
-	CheckpointRoot string
 
 	// MaxNamespaces caps registered namespaces, counting "default".
 	// Creation past the cap answers 429. 0 means unlimited.
@@ -221,10 +207,9 @@ type Server struct {
 	dbMetrics   *db.Metrics
 	coreMetrics *core.Metrics
 	// Durability instruments shared by every per-namespace store the
-	// server opens under StoreRoot/CheckpointRoot (stores handed in via
-	// Config.Store/Checkpoint carry their own).
-	segMetrics  *segstore.Metrics
-	ckptMetrics *checkpoint.Metrics
+	// server opens under StoreRoot (a store handed in via Config.Store
+	// carries its own).
+	segMetrics *segstore.Metrics
 	// nsm caches per-namespace instrument sets by name: obs panics on
 	// duplicate registration, so a namespace deleted and re-created
 	// must reuse the instruments its first incarnation registered.
@@ -243,13 +228,14 @@ type Server struct {
 	resident   atomic.Int64
 	touchClock atomic.Int64
 
-	// Durability. ckptDegraded mirrors the last checkpoint write
-	// (1 = failed after retries) for the health gauge. bootErr records
-	// a default-namespace backend that failed to open in New (New's
-	// signature predates fallible construction); OpenStores surfaces it.
-	ckptRetry    resilience.Backoff
-	ckptDegraded atomic.Bool
-	bootErr      error
+	// Durability. storeDegraded mirrors the last store write (1 = a
+	// commit failed after retries, or a compaction failed) for the
+	// health gauge. bootErr records a default-namespace store that
+	// failed to open in New (New's signature predates fallible
+	// construction); OpenStores surfaces it.
+	storeRetry    resilience.Backoff
+	storeDegraded atomic.Bool
+	bootErr       error
 
 	// stopCtx is cancelled by BeginShutdown; in-flight request
 	// contexts are derived from it so long derivations drain.
@@ -282,8 +268,8 @@ func (s *Server) streamOptions() core.Options {
 
 // New creates a Server with no snapshot loaded; queries answer 503
 // until LoadTrace (or a trace upload) publishes one. The default
-// namespace exists from the start, wired to Config.Store/Checkpoint
-// (or its StoreRoot/CheckpointRoot subdirectory).
+// namespace exists from the start, wired to Config.Store (or its
+// StoreRoot subdirectory).
 func New(cfg Config) *Server {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = DefaultCacheSize
@@ -307,9 +293,9 @@ func New(cfg Config) *Server {
 	s.limiter = resilience.NewTokenBucket(cfg.RateLimit, burst)
 	s.admission = resilience.NewSemaphore(cfg.MaxInflight)
 	s.memBudget = resilience.NewBudget(cfg.MemBudgetBytes)
-	s.ckptRetry = cfg.CheckpointRetry
-	if s.ckptRetry.Attempts == 0 {
-		s.ckptRetry = resilience.DefaultBackoff
+	s.storeRetry = cfg.StoreRetry
+	if s.storeRetry.Attempts == 0 {
+		s.storeRetry = resilience.DefaultBackoff
 	}
 	s.stopCtx, s.stop = context.WithCancel(context.Background())
 	s.dbMetrics = db.NewMetrics(s.obs)
@@ -320,21 +306,17 @@ func New(cfg Config) *Server {
 	if cfg.StoreRoot != "" {
 		s.segMetrics = segstore.NewMetrics(s.obs)
 	}
-	if cfg.CheckpointRoot != "" {
-		s.ckptMetrics = checkpoint.NewMetrics(s.obs)
-	}
 
 	s.reg = newNSRegistry()
 	def := s.newNamespace(DefaultNamespace)
-	def.ckpt = cfg.Checkpoint
 	def.store = cfg.Store
-	if err := s.attachBackends(def); err != nil {
+	if err := s.attachStore(def); err != nil {
 		// New's signature predates fallible construction; record the
 		// failure for OpenStores (lockdocd calls it right after New and
 		// exits on error) instead of silently dropping durability.
 		s.bootErr = err
 		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "lockdocd: opening default namespace backend: %v\n", err)
+			fmt.Fprintf(cfg.Log, "lockdocd: opening default namespace store: %v\n", err)
 		}
 	}
 	s.reg.getOrCreate(DefaultNamespace, func() (*namespace, error) { return def, nil })
@@ -375,34 +357,18 @@ func (s *Server) storeDirFor(name string) string {
 	return filepath.Join(s.cfg.StoreRoot, name)
 }
 
-// ckptDirFor is storeDirFor for checkpoint chains.
-func (s *Server) ckptDirFor(name string) string {
-	if name == DefaultNamespace {
-		if _, err := os.Stat(filepath.Join(s.cfg.CheckpointRoot, manifest.Name)); err == nil {
-			return s.cfg.CheckpointRoot
-		}
+// attachStore opens the namespace's segment store under StoreRoot
+// (unless one is already wired in, i.e. the default namespace's
+// Config.Store).
+func (s *Server) attachStore(ns *namespace) error {
+	if ns.store != nil || s.cfg.StoreRoot == "" {
+		return nil
 	}
-	return filepath.Join(s.cfg.CheckpointRoot, name)
-}
-
-// attachBackends opens the namespace's durability backends under the
-// configured roots (skipping any already wired in, i.e. the default
-// namespace's Config.Store/Checkpoint).
-func (s *Server) attachBackends(ns *namespace) error {
-	if ns.store == nil && s.cfg.StoreRoot != "" {
-		st, err := segstore.Open(s.storeDirFor(ns.name), segstore.Options{Metrics: s.segMetrics})
-		if err != nil {
-			return fmt.Errorf("server: opening store for namespace %s: %w", ns.name, err)
-		}
-		ns.store, ns.storeOwned = st, true
+	st, err := segstore.Open(s.storeDirFor(ns.name), segstore.Options{Metrics: s.segMetrics})
+	if err != nil {
+		return fmt.Errorf("server: opening store for namespace %s: %w", ns.name, err)
 	}
-	if ns.ckpt == nil && s.cfg.CheckpointRoot != "" {
-		ck, err := checkpoint.Open(s.ckptDirFor(ns.name), checkpoint.Options{Metrics: s.ckptMetrics})
-		if err != nil {
-			return fmt.Errorf("server: opening checkpoint for namespace %s: %w", ns.name, err)
-		}
-		ns.ckpt = ck
-	}
+	ns.store, ns.storeOwned = st, true
 	return nil
 }
 
@@ -410,7 +376,7 @@ func (s *Server) attachBackends(ns *namespace) error {
 func (s *Server) defaultNS() *namespace { return s.reg.get(DefaultNamespace) }
 
 // ensureNamespace returns the named namespace, creating it (with its
-// durability backends) if absent. Creation past MaxNamespaces returns
+// store) if absent. Creation past MaxNamespaces returns
 // errNsLimit.
 func (s *Server) ensureNamespace(name string) (*namespace, error) {
 	if ns := s.reg.get(name); ns != nil {
@@ -422,7 +388,7 @@ func (s *Server) ensureNamespace(name string) (*namespace, error) {
 			return nil, errNsLimit
 		}
 		ns := s.newNamespace(name)
-		if err := s.attachBackends(ns); err != nil {
+		if err := s.attachStore(ns); err != nil {
 			s.nsCount.Add(-1)
 			return nil, err
 		}
@@ -448,8 +414,7 @@ func (s *Server) settleResident(ns *namespace, total int64) {
 // namespace that just grew, typically still serving the request that
 // triggered enforcement) is never evicted. Must be called without any
 // ns.mu held; candidates that are busy (lock contended, live requests,
-// or no durable backend to re-open from) are skipped rather than
-// waited on.
+// or no store to re-open from) are skipped rather than waited on.
 func (s *Server) enforceNsBudget(exclude *namespace) {
 	budget := s.cfg.NsMemBudgetBytes
 	if budget <= 0 || s.resident.Load() <= budget {
@@ -488,19 +453,13 @@ func (s *Server) evictNS(ns *namespace) bool {
 	if ns.refs.Load() != 0 {
 		return false
 	}
-	if ns.store == nil && ns.ckpt == nil {
+	if ns.store == nil {
 		return false // no durable copy; eviction would lose the tenant's data
 	}
-	if ns.sd != nil {
-		ns.sd.Close()
-		ns.sd = nil
-	}
-	ns.live = nil
+	ns.dropLiveLocked()
 	ns.snap.Store(nil)
 	ns.cache.reset()
-	if ns.store != nil {
-		ns.store.DropCache()
-	}
+	ns.store.DropCache()
 	s.settleResident(ns, 0)
 	ns.nm.evictions.Inc()
 	return true
@@ -515,11 +474,7 @@ func (s *Server) deleteNamespace(ns *namespace, selfRefs int64) {
 	s.nsCount.Add(-1)
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if ns.sd != nil {
-		ns.sd.Close()
-		ns.sd = nil
-	}
-	ns.live = nil
+	ns.dropLiveLocked()
 	ns.snap.Store(nil)
 	ns.cache.reset()
 	s.settleResident(ns, 0)
@@ -534,10 +489,6 @@ func (s *Server) deleteNamespace(ns *namespace, selfRefs int64) {
 		}
 		os.RemoveAll(dir)
 		ns.store = nil
-	}
-	if ns.ckpt != nil && s.cfg.CheckpointRoot != "" {
-		os.RemoveAll(ns.ckpt.Dir())
-		ns.ckpt = nil
 	}
 }
 
@@ -592,47 +543,6 @@ func (s *Server) OpenStores() (int, error) {
 	return opened, nil
 }
 
-// RecoverCheckpoints replays every checkpoint chain under
-// CheckpointRoot (the default namespace's chain included, whether it
-// lives at the root or in its subdirectory). Returns the total number
-// of segments replayed cleanly.
-func (s *Server) RecoverCheckpoints() (int, error) {
-	if s.bootErr != nil {
-		return 0, s.bootErr
-	}
-	total := 0
-	if def := s.defaultNS(); def.ckpt != nil {
-		n, err := def.recoverCheckpoint()
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	if s.cfg.CheckpointRoot != "" {
-		entries, err := os.ReadDir(s.cfg.CheckpointRoot)
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return total, fmt.Errorf("server: listing %s: %w", s.cfg.CheckpointRoot, err)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if !e.IsDir() || !validNsName(name) || name == DefaultNamespace {
-				continue
-			}
-			ns, err := s.ensureNamespace(name)
-			if err != nil {
-				return total, err
-			}
-			n, err := ns.recoverCheckpoint()
-			if err != nil {
-				return total, err
-			}
-			total += n
-		}
-	}
-	s.enforceNsBudget(nil)
-	return total, nil
-}
-
 // Registry returns the metric registry the server records into — the
 // one from Config.Obs, or the private one New created.
 func (s *Server) Registry() *obs.Registry { return s.obs }
@@ -669,8 +579,8 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) Snapshot() *Snapshot { return s.defaultNS().snapshot() }
 
 // LoadTraceFile ingests the trace at path into the default namespace
-// and publishes it as its new current snapshot (checkpointing it first
-// when a store is configured).
+// and publishes it as its new current snapshot (committing it to the
+// store first when one is configured).
 func (s *Server) LoadTraceFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -700,29 +610,30 @@ func (s *Server) importConfig() db.Config {
 // since per-group reuse cannot survive a store replacement (unlike
 // AppendTrace, which retains it).
 //
-// With a checkpoint store configured, the stream is buffered and —
-// only after the trace proves ingestible — durably checkpointed as the
-// head of a new chain before the snapshot publishes. A checkpoint
-// write failure rejects the load and leaves both the served snapshot
-// and the on-disk chain as they were.
+// With a segment store configured, the stream is buffered and — only
+// after the trace proves ingestible — committed as the store's new
+// trace chain before the snapshot publishes. A commit failure rejects
+// the load (ErrStoreWrite) and leaves both the served snapshot and the
+// on-disk chain as they were.
 func (s *Server) LoadTrace(r io.Reader, source string) (*Snapshot, error) {
-	return s.defaultNS().loadTrace(r, source, true)
+	return s.defaultNS().loadTrace(r, source)
 }
 
 // OpenStore republishes the default namespace's segment store content
 // as its current snapshot. The fast path decodes the newest compacted
 // state segment — observation groups stay on disk and materialize
 // lazily on first use — so reopening a large trace costs orders of
-// magnitude less than re-importing it. A store-backed snapshot is
-// read-only: appends answer ErrNoBaseSnapshot until a full trace load
-// rebuilds an appendable live store.
+// magnitude less than re-importing it. The namespace stays appendable:
+// the first append after a reopen replays the trace chain into a fresh
+// live store before committing its own bytes.
 //
-// When no usable state exists (first run after a crash mid-compaction,
-// or a damaged state segment), OpenStore falls back to replaying the
-// store's trace segments, which also rebuilds the appendable live store
-// and recompacts the state for the next reopen; the snapshot source is
-// then "store-replay:DIR" instead of "store:DIR". An empty store
-// publishes nothing and returns (nil, nil).
+// When no current state exists (a crash or failed compaction between a
+// commit and its compaction, or a damaged state segment), OpenStore
+// falls back to replaying the store's trace segments, which also
+// rebuilds the appendable live store and recompacts the state for the
+// next reopen; the snapshot source is then "store-replay:DIR" instead
+// of "store:DIR". An empty store publishes nothing and returns (nil,
+// nil).
 func (s *Server) OpenStore() (*Snapshot, error) {
 	ns := s.defaultNS()
 	ns.mu.Lock()
@@ -743,21 +654,16 @@ func (s *Server) OpenStore() (*Snapshot, error) {
 // before the error remain staged in the live store and surface with the
 // next successful append.
 //
-// With a checkpoint store configured, the chunk's raw bytes are made
-// durable before they touch the live store. The order matters: decoding
-// can stage partial per-context state even when it ultimately errors,
-// and replaying the checkpointed bytes through this same code is
-// deterministic, so checkpoint-then-consume guarantees a recovered
-// server reaches exactly the pre-crash state — including the staging
-// effects of chunks that were rejected after the checkpoint.
+// With a segment store configured, the chunk's raw bytes are committed
+// to the trace chain before they touch the live store. The order
+// matters: decoding can stage partial per-context state even when it
+// ultimately errors, and replaying the committed chain is
+// deterministic, so commit-then-consume guarantees a recovered server
+// reaches exactly the pre-crash state — including the staging effects
+// of chunks that were rejected after their commit. A failed commit
+// (ErrStoreWrite) consumed nothing.
 func (s *Server) AppendTrace(r io.Reader, source string) (*Snapshot, AppendStats, error) {
-	return s.defaultNS().appendTrace(r, source, true)
-}
-
-// RecoverCheckpoint replays the default namespace's checkpoint chain.
-// Returns the number of segments replayed cleanly.
-func (s *Server) RecoverCheckpoint() (int, error) {
-	return s.defaultNS().recoverCheckpoint()
+	return s.defaultNS().appendTrace(r, source)
 }
 
 func degradedSuffix(d *db.DB) string {
