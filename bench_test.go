@@ -926,22 +926,6 @@ func BenchmarkDeriveDeepNesting(b *testing.B) {
 	}
 }
 
-// BenchmarkCoverageGuided measures the context-guided workload
-// generator (the Sec. 7.1 future-work benchmark suite): greedy
-// generation to convergence. The metric reports the number of distinct
-// (member, access-type, lock-combination) contexts reached.
-func BenchmarkCoverageGuided(b *testing.B) {
-	var contexts int
-	for i := 0; i < b.N; i++ {
-		res, err := workload.RunCoverageGuided(workload.Options{Seed: 42, Scale: 1}, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		contexts = res.Contexts
-	}
-	b.ReportMetric(float64(contexts), "contexts")
-}
-
 // --- Segment store (the lockdocd -store-dir restart path) ---
 
 // BenchmarkSegstoreCompact measures compacting the sealed synthetic

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	lockdoc-trace -o trace.lkdc [-seed N] [-scale N] [-clock] [-guided] [-genome FILE] [-format 2]
+//	lockdoc-trace -o trace.lkdc [-seed N] [-scale N] [-clock] [-genome FILE] [-format 2]
 //
 // With -clock, the Sec. 4 clock-counter example is traced instead of the
 // full benchmark mix. With -genome, a fuzzer corpus genome (see
@@ -33,7 +33,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	seed := fl.Int64("seed", 42, "deterministic run seed")
 	scale := fl.Int("scale", 1, "workload scale factor")
 	clock := fl.Bool("clock", false, "trace the clock-counter example instead of the benchmark mix")
-	guided := fl.Bool("guided", false, "use the coverage-guided generator instead of the benchmark mix")
 	genomePath := fl.String("genome", "", "replay a fuzzer corpus genome file instead of the benchmark mix")
 	iterations := fl.Int("iterations", 1000, "clock example iterations")
 	format := fl.Int("format", int(trace.FormatV2), "wire format version to write (1 or 2)")
@@ -106,26 +105,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return nil
 	}
 
-	opt := workload.Options{Seed: *seed, Scale: *scale, PreemptEvery: 97}
-	if *guided {
-		res, err := workload.RunCoverageGuided(opt, 10)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		sys, err := workload.ReplayGuidedSchedule(w, opt, res.Schedule)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if err := finish(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "context-guided run (seed %d): %d contexts (%d beyond boot) in %d rounds / %d ops, %d events -> %s\n",
-			*seed, res.Contexts, res.NewContexts, res.Rounds, res.OpsRun, sys.K.EventCount(), *out)
-		return nil
-	}
-	sys, err := workload.Run(w, opt)
+	sys, err := workload.Run(w, workload.Options{Seed: *seed, Scale: *scale, PreemptEvery: 97})
 	if err != nil {
 		f.Close()
 		return err

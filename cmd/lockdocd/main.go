@@ -8,7 +8,7 @@
 //
 //	lockdocd [-addr 127.0.0.1:8750] [-trace trace.lkdc] [-cache-size 64] [-j N] [-quiet] [-debug-addr 127.0.0.1:6060] [-lenient] [-max-errors N]
 //	         [-store-dir DIR] [-max-body-bytes N] [-rate-limit N] [-rate-burst N] [-max-inflight N] [-mem-budget-bytes N] [-drain-timeout 5s]
-//	         [-max-namespaces N] [-ns-mem-budget-bytes N] [-ns-rate-limit N] [-ns-rate-burst N]
+//	         [-max-namespaces N] [-ns-rate-limit N] [-ns-rate-burst N]
 //
 // Endpoints (each namespace owns its own trace, snapshot and caches;
 // the legacy unprefixed /v1 routes are deprecated aliases for the
@@ -31,9 +31,11 @@
 // its own subdirectory: an upload or append is acknowledged only after
 // its bytes are committed to the store's trace chain, so a restart
 // (even after SIGKILL) serves every acknowledged byte and keeps
-// accepting appends. -ns-mem-budget-bytes bounds total residency by
-// LRU-evicting idle namespaces, which transparently re-open from disk
-// on their next request.
+// accepting appends. -mem-budget-bytes bounds the raw trace bytes
+// resident across all namespaces: an upload that would overflow it
+// first LRU-evicts idle store-backed namespaces, which transparently
+// re-open from disk on their next request, and sheds with 503 only if
+// that frees too little.
 //
 // Exit codes: 0 clean shutdown (SIGINT/SIGTERM), 1 fatal, 2 bad flags.
 package main
@@ -66,10 +68,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	rateLimit := fl.Float64("rate-limit", 0, "sustained /v1 requests per second admitted (0 = unlimited)")
 	rateBurst := fl.Int("rate-burst", 0, "burst size for -rate-limit (0 = same as the rate)")
 	maxInflight := fl.Int("max-inflight", 0, "concurrent /v1 requests admitted (0 = unlimited)")
-	memBudget := fl.Int64("mem-budget-bytes", 0, "raw trace bytes the server may hold resident (0 = unlimited)")
+	memBudget := fl.Int64("mem-budget-bytes", 0, "raw trace bytes resident across all namespaces; idle ones are evicted to disk, then uploads shed (0 = unlimited)")
 	drainTimeout := fl.Duration("drain-timeout", 5*time.Second, "how long shutdown waits for in-flight requests to finish")
 	maxNamespaces := fl.Int("max-namespaces", 0, "namespaces the server will register, the default included (0 = unlimited)")
-	nsMemBudget := fl.Int64("ns-mem-budget-bytes", 0, "raw trace bytes resident across all namespaces before idle ones are evicted to disk (0 = unlimited)")
 	nsRateLimit := fl.Float64("ns-rate-limit", 0, "sustained requests per second admitted per namespace (0 = unlimited)")
 	nsRateBurst := fl.Int("ns-rate-burst", 0, "burst size for -ns-rate-limit (0 = same as the rate)")
 	var par cli.DeriveFlags
@@ -104,22 +105,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	retry := resilience.DefaultBackoff
 	retry.Metrics = resilience.NewMetrics(reg)
 	srv := server.New(server.Config{
-		CacheSize:        *cacheSize,
-		Parallelism:      par.Parallelism,
-		Ingest:           ingest.ReaderOptions(),
-		Obs:              reg,
-		Log:              accessLog,
-		StoreRoot:        *storeDir,
-		StoreRetry:       retry,
-		MaxBodyBytes:     *maxBody,
-		RateLimit:        *rateLimit,
-		RateBurst:        *rateBurst,
-		MaxInflight:      *maxInflight,
-		MemBudgetBytes:   *memBudget,
-		MaxNamespaces:    *maxNamespaces,
-		NsMemBudgetBytes: *nsMemBudget,
-		NsRateLimit:      *nsRateLimit,
-		NsRateBurst:      *nsRateBurst,
+		CacheSize:      *cacheSize,
+		Parallelism:    par.Parallelism,
+		Ingest:         ingest.ReaderOptions(),
+		Obs:            reg,
+		Log:            accessLog,
+		StoreRoot:      *storeDir,
+		StoreRetry:     retry,
+		MaxBodyBytes:   *maxBody,
+		RateLimit:      *rateLimit,
+		RateBurst:      *rateBurst,
+		MaxInflight:    *maxInflight,
+		MemBudgetBytes: *memBudget,
+		MaxNamespaces:  *maxNamespaces,
+		NsRateLimit:    *nsRateLimit,
+		NsRateBurst:    *nsRateBurst,
 	})
 	// Reopen first: a preloaded -trace then replaces (and re-commits
 	// over) whatever the default's directory held.

@@ -6,8 +6,8 @@ import (
 	"lockdoc/internal/db"
 )
 
-// This file defines the context-coverage metric shared by the workload
-// fuzzer and the coverage-guided driver: the set of distinct
+// This file defines the context-coverage metric of the workload fuzzer:
+// the set of distinct
 // (type.member, access type, lock combination) contexts a trace
 // exercised. It is the feedback signal of the follow-up paper's
 // fuzzing loop — more distinct contexts means the mined rules rest on
@@ -50,16 +50,6 @@ func (s ContextSet) Add(other ContextSet) int {
 	return added
 }
 
-// Subsumes reports whether s contains every context of other.
-func (s ContextSet) Subsumes(other ContextSet) bool {
-	for k := range other {
-		if _, ok := s[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // Diff returns the contexts of other missing from s, sorted.
 func (s ContextSet) Diff(other ContextSet) []string {
 	var missing []string
@@ -79,14 +69,5 @@ func (s ContextSet) Sorted() []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Clone returns an independent copy.
-func (s ContextSet) Clone() ContextSet {
-	out := make(ContextSet, len(s))
-	for k := range s {
-		out[k] = struct{}{}
-	}
 	return out
 }

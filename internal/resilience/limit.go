@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -100,83 +99,4 @@ func (s *Semaphore) InUse() int {
 		return 0
 	}
 	return len(s.ch)
-}
-
-// Budget tracks bytes of a bounded resource (lockdocd uses it for the
-// raw trace bytes resident in the live store). TryReserve admits an
-// allocation only while the total stays within the cap. A nil *Budget
-// admits everything.
-type Budget struct {
-	cap  int64
-	used atomic.Int64
-}
-
-// NewBudget builds a budget of capBytes; capBytes <= 0 returns nil
-// (unlimited).
-func NewBudget(capBytes int64) *Budget {
-	if capBytes <= 0 {
-		return nil
-	}
-	return &Budget{cap: capBytes}
-}
-
-// TryReserve admits n more bytes iff the running total stays within
-// the cap, and reserves them.
-func (b *Budget) TryReserve(n int64) bool {
-	if b == nil {
-		return true
-	}
-	for {
-		used := b.used.Load()
-		if used+n > b.cap {
-			return false
-		}
-		if b.used.CompareAndSwap(used, used+n) {
-			return true
-		}
-	}
-}
-
-// SetUsed pins the running total to n — the epoch-replacement path,
-// where a full trace load supersedes everything reserved before it.
-func (b *Budget) SetUsed(n int64) {
-	if b == nil {
-		return
-	}
-	b.used.Store(n)
-}
-
-// Grow adds n bytes unconditionally (n may be negative). It is the
-// accounting hook for bytes already resident — settling a reservation
-// made from a Content-Length estimate against the bytes actually read —
-// as opposed to TryReserve's admission decision.
-func (b *Budget) Grow(n int64) {
-	if b == nil {
-		return
-	}
-	b.used.Add(n)
-}
-
-// Release returns n reserved bytes.
-func (b *Budget) Release(n int64) {
-	if b == nil {
-		return
-	}
-	b.used.Add(-n)
-}
-
-// Used reports the reserved total (0 on nil).
-func (b *Budget) Used() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.used.Load()
-}
-
-// Cap reports the budget size (0 on nil, meaning unlimited).
-func (b *Budget) Cap() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.cap
 }

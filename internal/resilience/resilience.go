@@ -2,8 +2,8 @@
 // serving and ingestion paths share: capped exponential backoff with
 // jitter for transient I/O errors, a transient-error marker the fault
 // injectors and retry loops agree on, and the admission-control
-// limiters (token bucket, concurrency semaphore, memory budget) the
-// HTTP front door sheds load with.
+// limiters (token bucket, concurrency semaphore) the HTTP front door
+// sheds load with.
 //
 // The split the package enforces everywhere: a *transient* failure
 // (EINTR, a flaky NFS read, a store disk hiccup) is retried and

@@ -246,25 +246,3 @@ func TestSemaphoreConcurrent(t *testing.T) {
 		return true
 	})
 }
-
-func TestBudget(t *testing.T) {
-	b := NewBudget(100)
-	if !b.TryReserve(60) || !b.TryReserve(40) {
-		t.Fatal("in-budget reservations rejected")
-	}
-	if b.TryReserve(1) {
-		t.Fatal("over-budget reservation admitted")
-	}
-	b.Release(40)
-	if !b.TryReserve(30) {
-		t.Fatal("reservation after release rejected")
-	}
-	b.SetUsed(10)
-	if b.Used() != 10 || !b.TryReserve(90) || b.TryReserve(1) {
-		t.Fatal("SetUsed did not pin the total")
-	}
-	var unlimited *Budget
-	if !unlimited.TryReserve(1 << 60) {
-		t.Fatal("nil budget rejected")
-	}
-}

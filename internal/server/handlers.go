@@ -434,19 +434,20 @@ func (s *Server) uploadErr(w http.ResponseWriter, what string, err error, counte
 
 func (s *Server) handleTraceUpload(ns *namespace, w http.ResponseWriter, r *http.Request) {
 	// Memory-budget admission: reserve the declared body size before
-	// buffering anything. Chunked uploads (no Content-Length) admit
-	// free and settle after the read — the body cap still bounds them.
-	// The reservation is transient: on success the ingest itself
-	// settles the namespace's resident bytes into the budget (via
-	// settleResident), so the reservation is released either way.
+	// buffering anything, evicting idle namespaces if that makes room.
+	// Chunked uploads (no Content-Length) admit free and settle after
+	// the read — the body cap still bounds them. The reservation is
+	// transient: the ingest itself settles the namespace's resident
+	// bytes (via settleResident), and endUpload releases the
+	// reservation and trims back under the budget either way.
 	need := max(r.ContentLength, 0)
-	if !s.memBudget.TryReserve(need) {
+	if !s.reserveUpload(ns, need) {
 		s.shed(w, "memory", http.StatusServiceUnavailable, 5*time.Second,
 			"upload of %d bytes exceeds the memory budget (%d of %d bytes resident)",
-			need, s.memBudget.Used(), s.memBudget.Cap())
+			need, s.resident.Load(), s.cfg.MemBudgetBytes)
 		return
 	}
-	defer s.memBudget.Release(need)
+	defer s.endUpload(ns, need)
 
 	body := http.MaxBytesReader(w, r.Body, s.maxBody())
 	counted := &countingReader{r: body}
@@ -461,7 +462,6 @@ func (s *Server) handleTraceUpload(ns *namespace, w http.ResponseWriter, r *http
 		}
 		s.m.uploadBytes.Add(uint64(counted.n))
 		ns.nm.uploadBytes.Add(uint64(counted.n))
-		s.enforceNsBudget(ns)
 		d := snap.DB
 		writeData(w, http.StatusCreated, map[string]any{
 			"generation":   snap.Gen,
@@ -483,7 +483,6 @@ func (s *Server) handleTraceUpload(ns *namespace, w http.ResponseWriter, r *http
 		}
 		s.m.uploadBytes.Add(uint64(counted.n))
 		ns.nm.uploadBytes.Add(uint64(counted.n))
-		s.enforceNsBudget(ns)
 		writeData(w, http.StatusCreated, map[string]any{
 			"generation":   snap.Gen,
 			"bytes":        counted.n,

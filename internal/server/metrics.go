@@ -95,8 +95,6 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		m.shed[reason] = reg.CounterL("lockdocd_shed_total",
 			"Requests refused by admission control, by reason.", `reason="`+reason+`"`)
 	}
-	reg.GaugeFunc("lockdocd_mem_budget_used_bytes", "Raw trace bytes resident against the memory budget (0 when unlimited).",
-		func() float64 { return float64(s.memBudget.Used()) })
 	reg.GaugeFunc("lockdocd_store_degraded", "1 while the most recent store write failed (a commit after retries, or a best-effort compaction), else 0.",
 		func() float64 {
 			if s.storeDegraded.Load() {
@@ -128,7 +126,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		})
 	reg.GaugeFunc("lockdocd_namespaces", "Registered namespaces.",
 		func() float64 { return float64(s.nsCount.Load()) })
-	reg.GaugeFunc("lockdocd_ns_resident_bytes_total", "Raw trace bytes resident across all namespaces (the NsMemBudgetBytes reading).",
+	reg.GaugeFunc("lockdocd_ns_resident_bytes_total", "Raw trace bytes resident across all namespaces plus in-flight upload reservations (the MemBudgetBytes reading).",
 		func() float64 { return float64(s.resident.Load()) })
 	for _, ep := range latencyEndpoints {
 		m.latency[ep] = reg.HistogramL("lockdocd_request_duration_seconds",

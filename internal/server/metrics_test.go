@@ -48,7 +48,7 @@ func TestMetricsExpositionShape(t *testing.T) {
 		`lockdocd_shed_total{reason="memory"} 0`,
 		`lockdocd_shed_total{reason="shutdown"} 0`,
 		"lockdocd_panics_total 0\n",
-		"lockdocd_mem_budget_used_bytes 0\n",
+		"lockdocd_ns_resident_bytes_total ",
 		"lockdocd_store_degraded 0\n",
 		// Pipeline instruments recorded during the load and derivation.
 		"lockdoc_trace_events_decoded_total ",

@@ -5,7 +5,7 @@
 // epoch counters, and (when configured) its own segment-store
 // subdirectory. The Server holds these in the sharded
 // registry and owns only what is genuinely global: admission control,
-// metrics, the memory budgets, and the eviction policy.
+// metrics, the memory budget, and the eviction policy.
 package server
 
 import (
@@ -56,9 +56,10 @@ type namespace struct {
 	gen   uint64
 	epoch uint64
 
-	// resident is the raw trace bytes charged to the server's budgets
-	// for this namespace. Written under mu (via settleResident), read
-	// lock-free by the per-namespace gauge and the evictor.
+	// resident is the raw trace bytes (file headers excluded) charged
+	// to the memory budget for this namespace. Written under mu (via
+	// settleResident), read lock-free by the per-namespace gauge and the
+	// evictor.
 	resident atomic.Int64
 
 	// store is the durability backend (nil = in-memory only). Its
@@ -85,6 +86,14 @@ func (ns *namespace) snapshot() *Snapshot { return ns.snap.Load() }
 // in-memory state but has a store to re-open from.
 func (ns *namespace) evictedState() bool {
 	return ns.snap.Load() == nil && ns.store != nil
+}
+
+// evictableLocked reports whether eviction may drop the namespace now:
+// it holds a snapshot, serves no request, and has a store to re-open
+// from (without one, eviction would lose the tenant's data). Caller
+// holds ns.mu.
+func (ns *namespace) evictableLocked() bool {
+	return ns.snap.Load() != nil && ns.refs.Load() == 0 && ns.store != nil
 }
 
 // readForStore buffers r when the namespace has a store: the commit
@@ -177,7 +186,7 @@ func (ns *namespace) loadTrace(r io.Reader, source string) (*Snapshot, error) {
 	// The definitive pass already derived the default-options rules;
 	// seed the query cache so the first /v1/rules request is a hit.
 	ns.cache.adopt(sd.Options().Key(), results, snap.Gen, snap.Epoch)
-	s.settleResident(ns, counted.n)
+	s.settleResident(ns, counted.n-tr.HeaderLen())
 	s.m.reloads.Inc()
 	return snap, nil
 }
@@ -226,7 +235,6 @@ func (ns *namespace) appendTrace(r io.Reader, source string) (*Snapshot, AppendS
 		}
 		ns.epoch++
 		prev = view
-		s.settleResident(ns, ns.storeFootprint())
 	}
 	if ns.store != nil {
 		// Commit before consume: consuming can stage partial per-context
@@ -280,7 +288,7 @@ func (ns *namespace) appendTrace(r io.Reader, source string) (*Snapshot, AppendS
 	// the post-append /v1/rules refresh a pure cache hit.
 	ns.cache.adopt(ns.sd.Options().Key(), results, snap.Gen, snap.Epoch)
 	stats.Elapsed = time.Since(start)
-	s.settleResident(ns, ns.resident.Load()+counted.n)
+	s.settleResident(ns, ns.resident.Load()+counted.n-tr.HeaderLen())
 	s.m.appends.Inc()
 	s.m.appendEvents.Add(uint64(n))
 	s.m.groupsDirtied.Add(uint64(stats.Dirty))
@@ -307,8 +315,10 @@ func (ns *namespace) compact(view *db.DB) {
 // committed trace chain through the fused pipeline (segment decode and
 // rule mining overlap, so replay pays max(decode, mine) rather than
 // their sum) and adopts it as the namespace's live store. It returns
-// the sealed view and its default-options rules; publishing is the
-// caller's job. Caller holds ns.mu.
+// the sealed view and its default-options rules, and charges the raw
+// bytes it replayed — the same bytes the live store holds whether it
+// was built by uploads or by this replay. Publishing is the caller's
+// job. Caller holds ns.mu.
 func (ns *namespace) replayLocked() (*db.DB, []core.Result, error) {
 	s := ns.srv
 	// The live store built here is what new commits extend, so the
@@ -318,7 +328,8 @@ func (ns *namespace) replayLocked() (*db.DB, []core.Result, error) {
 	} else if dropped > 0 && s.cfg.Log != nil {
 		fmt.Fprintf(s.cfg.Log, "lockdocd: namespace %s: cut %d store entries at a damaged trace segment\n", ns.name, dropped)
 	}
-	tr := trace.NewContinuationReader(ns.store.TraceReader(), s.cfg.Ingest)
+	replayed := &countingReader{r: ns.store.TraceReader()}
+	tr := trace.NewContinuationReader(replayed, s.cfg.Ingest)
 	live := db.New(s.importConfig())
 	sd := core.NewStreamDeriver(live, s.streamOptions())
 	if _, err := sd.Consume(tr); err != nil {
@@ -337,6 +348,7 @@ func (ns *namespace) replayLocked() (*db.DB, []core.Result, error) {
 	}
 	ns.dropLiveLocked()
 	ns.live, ns.sd = live, sd
+	s.settleResident(ns, replayed.n)
 	return view, results, nil
 }
 
@@ -350,9 +362,9 @@ func (ns *namespace) dropLiveLocked() {
 }
 
 // storeFootprint is the resident-byte estimate of a namespace opened
-// from its store: groups hydrate lazily from compressed blocks, so the
-// on-disk segment bytes stand in for the (unknown until hydrated) raw
-// trace size.
+// from its compacted state: groups hydrate lazily from compressed
+// blocks, so the on-disk segment bytes stand in for the (unknown until
+// hydrated) raw trace size.
 func (ns *namespace) storeFootprint() int64 {
 	var n int64
 	for _, e := range ns.store.Manifest() {
@@ -396,6 +408,7 @@ func (ns *namespace) openStoreLocked() (*Snapshot, error) {
 	source := "store:" + ns.store.Dir()
 	if ok {
 		ns.dropLiveLocked()
+		s.settleResident(ns, ns.storeFootprint())
 	} else {
 		if !ns.store.HasTrace() {
 			return nil, nil
@@ -430,9 +443,6 @@ func (ns *namespace) openStoreLocked() (*Snapshot, error) {
 	if replayResults != nil {
 		ns.cache.adopt(ns.sd.Options().Key(), replayResults, snap.Gen, snap.Epoch)
 	}
-	// Both reopen flavours charge the same estimate, whether or not the
-	// replay read the real bytes.
-	s.settleResident(ns, ns.storeFootprint())
 	s.m.reloads.Inc()
 	return snap, nil
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -304,7 +305,7 @@ func TestNamespaceBudgetEviction(t *testing.T) {
 	raw := clockTraceBytes(t)
 	const n = 4
 	budget := int64(len(raw))*2 + 64 // room for ~2 resident traces
-	s := New(Config{StoreRoot: t.TempDir(), NsMemBudgetBytes: budget})
+	s := New(Config{StoreRoot: t.TempDir(), MemBudgetBytes: budget})
 
 	docs := make(map[string]string, n)
 	for i := 0; i < n; i++ {
@@ -340,6 +341,140 @@ func TestNamespaceBudgetEviction(t *testing.T) {
 		if rec.Body.String() != want {
 			t.Errorf("namespace %s: document changed across eviction", name)
 		}
+	}
+}
+
+// TestBudgetEvictsToAdmit pins admission by eviction: with a budget that
+// holds two traces, a third tenant's upload evicts the least recently
+// used namespace instead of shedding, and the evicted tenant still
+// serves its exact document.
+func TestBudgetEvictsToAdmit(t *testing.T) {
+	raw := clockTraceBytes(t)
+	s := New(Config{StoreRoot: t.TempDir(), MemBudgetBytes: 2 * int64(len(raw))})
+	mustPost(t, s, "/v1/ns/a/traces", raw)
+	want := body(t, s, "/v1/ns/a/doc?type=clock")
+	mustPost(t, s, "/v1/ns/b/traces", raw)
+
+	if rec := do(t, s, "POST", "/v1/ns/c/traces", bytes.NewReader(raw)); rec.Code != http.StatusCreated {
+		t.Fatalf("third upload: status %d, want 201: %s", rec.Code, rec.Body.String())
+	}
+	if s.reg.get("a").snapshot() != nil {
+		t.Fatal("least recently used namespace a was not evicted")
+	}
+	if s.reg.get("b").snapshot() == nil {
+		t.Fatal("namespace b was evicted although a was older")
+	}
+	if got := body(t, s, "/v1/ns/a/doc?type=clock"); got != want {
+		t.Errorf("evicted namespace serves a different document:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestBudgetUnadmittableUploadEvictsNothing pins that an upload eviction
+// cannot admit sheds with no side effects: a declared Content-Length
+// above the whole budget, or above the body cap, answers 503 without
+// dropping any idle tenant.
+func TestBudgetUnadmittableUploadEvictsNothing(t *testing.T) {
+	raw := clockTraceBytes(t)
+	budget := 2*int64(len(raw)) + 64
+	for _, tc := range []struct {
+		name    string
+		maxBody int64
+		length  int64
+	}{
+		{"over-budget", 0, budget + 1},
+		{"over-body-cap", int64(len(raw)) + 1, int64(len(raw)) + 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{StoreRoot: t.TempDir(), MemBudgetBytes: budget, MaxBodyBytes: tc.maxBody})
+			mustPost(t, s, "/v1/ns/a/traces", raw)
+			mustPost(t, s, "/v1/ns/b/traces", raw)
+
+			req := httptest.NewRequest("POST", "/v1/ns/c/traces", bytes.NewReader(nil))
+			req.ContentLength = tc.length
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusServiceUnavailable {
+				t.Fatalf("upload declaring %d bytes: status %d, want 503: %s", tc.length, rec.Code, rec.Body.String())
+			}
+			metrics := do(t, s, "GET", "/metrics", nil).Body.String()
+			for _, line := range strings.Split(metrics, "\n") {
+				if strings.HasPrefix(line, "lockdocd_ns_evictions_total{") && !strings.HasSuffix(line, " 0") {
+					t.Errorf("shed upload evicted a tenant: %s", line)
+				}
+			}
+			for _, name := range []string{"a", "b"} {
+				if s.reg.get(name).snapshot() == nil {
+					t.Errorf("namespace %s lost its live state", name)
+				}
+			}
+		})
+	}
+}
+
+// TestBudgetConcurrentUploads races uploads into distinct namespaces
+// against a budget that holds two of them: each answers 201 or a memory
+// shed, every admitted tenant serves the exact document, and once all
+// requests finish no reservation is left in the resident counter.
+func TestBudgetConcurrentUploads(t *testing.T) {
+	raw := clockTraceBytes(t)
+	s := New(Config{StoreRoot: t.TempDir(), MemBudgetBytes: 2 * int64(len(raw))})
+	want := body(t, newLoadedServer(t), "/v1/doc?type=clock")
+
+	const tenants = 4
+	codes := make([]int, tenants)
+	var wg sync.WaitGroup
+	for i := 0; i < tenants; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes[i] = do(t, s, "POST", fmt.Sprintf("/v1/ns/c%d/traces", i), bytes.NewReader(raw)).Code
+		}()
+	}
+	wg.Wait()
+
+	var sum int64
+	for i, code := range codes {
+		name := fmt.Sprintf("c%d", i)
+		switch code {
+		case http.StatusCreated:
+			if got := body(t, s, "/v1/ns/"+name+"/doc?type=clock"); got != want {
+				t.Errorf("namespace %s serves a different document", name)
+			}
+		case http.StatusServiceUnavailable:
+		default:
+			t.Errorf("upload %s: status %d, want 201 or 503", name, code)
+		}
+	}
+	for _, ns := range s.reg.all() {
+		sum += ns.resident.Load()
+	}
+	if got := s.resident.Load(); got != sum {
+		t.Errorf("resident counter %d != %d settled across namespaces: a reservation leaked", got, sum)
+	}
+}
+
+// TestResidentBytesIndependentOfEviction pins that a namespace's charge
+// follows what it holds, not its history: an append that first replays
+// an evicted namespace's trace chain charges the same raw bytes as one
+// landing on a namespace that was never evicted.
+func TestResidentBytesIndependentOfEviction(t *testing.T) {
+	s := New(Config{StoreRoot: t.TempDir(), Ingest: lenientIngest()})
+	raw := clockTraceBytes(t)
+	chunk := secondsOnlyChunk(t, discoverClockShape(t, raw), 9)
+	mustPost(t, s, "/v1/ns/kept/traces", raw)
+	mustPost(t, s, "/v1/ns/evicted/traces", raw)
+	if !s.evictNS(s.reg.get("evicted")) {
+		t.Fatal("eviction refused")
+	}
+	mustPost(t, s, "/v1/ns/kept/traces?mode=append", chunk)
+	mustPost(t, s, "/v1/ns/evicted/traces?mode=append", chunk)
+
+	var kept, evicted nsInfoJSON
+	nsBody(t, do(t, s, "GET", "/v1/ns/kept", nil).Body, &kept)
+	nsBody(t, do(t, s, "GET", "/v1/ns/evicted", nil).Body, &evicted)
+	if kept.ResidentBytes == 0 || kept.ResidentBytes != evicted.ResidentBytes {
+		t.Fatalf("resident_bytes: never evicted %d, evicted before the append %d; want equal and non-zero",
+			kept.ResidentBytes, evicted.ResidentBytes)
 	}
 }
 

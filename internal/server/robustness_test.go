@@ -121,20 +121,19 @@ func TestConcurrencyShed(t *testing.T) {
 }
 
 // TestMemoryBudgetShed pins upload admission against the memory
-// budget: an upload whose declared size does not fit sheds with 503
-// and reason="memory" while read-only requests keep succeeding, and a
-// replace pins the budget to the bytes actually resident.
+// budget: with no namespace to evict, an upload whose declared size
+// does not fit sheds with 503 and reason="memory" while read-only
+// requests and an append that fits keep succeeding.
 func TestMemoryBudgetShed(t *testing.T) {
 	raw := clockTraceBytes(t)
-	s := New(Config{Ingest: lenientIngest(), MemBudgetBytes: int64(len(raw)) + 64})
+	chunk := secondsOnlyChunk(t, discoverClockShape(t, raw), 64)
+	s := New(Config{Ingest: lenientIngest(), MemBudgetBytes: int64(len(raw) + len(chunk))})
 	rec := do(t, s, "POST", "/v1/traces", bytes.NewReader(raw))
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("in-budget upload: status %d: %s", rec.Code, rec.Body.String())
 	}
-	// The budget is now pinned to len(raw); a same-size append cannot
-	// be admitted on top of it.
-	sh := discoverClockShape(t, raw)
-	chunk := secondsOnlyChunk(t, sh, 64)
+	// The loaded trace is resident; a same-size append cannot be
+	// admitted on top of it.
 	rec = do(t, s, "POST", "/v1/traces?mode=append", bytes.NewReader(raw))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("over-budget append: status %d, want 503: %s", rec.Code, rec.Body.String())
@@ -149,18 +148,16 @@ func TestMemoryBudgetShed(t *testing.T) {
 	if rec := do(t, s, "GET", "/v1/stats", nil); rec.Code != http.StatusOK {
 		t.Errorf("read during memory pressure: status %d", rec.Code)
 	}
-	if len(chunk) < 64 {
-		rec = do(t, s, "POST", "/v1/traces?mode=append", bytes.NewReader(chunk))
-		if rec.Code != http.StatusCreated {
-			t.Errorf("in-budget append: status %d: %s", rec.Code, rec.Body.String())
-		}
+	rec = do(t, s, "POST", "/v1/traces?mode=append", bytes.NewReader(chunk))
+	if rec.Code != http.StatusCreated {
+		t.Errorf("in-budget append: status %d: %s", rec.Code, rec.Body.String())
 	}
 	body := do(t, s, "GET", "/metrics", nil).Body.String()
 	if !strings.Contains(body, `lockdocd_shed_total{reason="memory"} 1`) {
 		t.Errorf("/metrics missing memory shed count:\n%s", body)
 	}
-	if !strings.Contains(body, "lockdocd_mem_budget_used_bytes") {
-		t.Errorf("/metrics missing budget gauge:\n%s", body)
+	if got := metricValue(t, body, "lockdocd_ns_resident_bytes_total"); got <= 0 || got > float64(len(raw)+len(chunk)) {
+		t.Errorf("lockdocd_ns_resident_bytes_total = %v, want within (0, %d]", got, len(raw)+len(chunk))
 	}
 }
 

@@ -29,11 +29,12 @@
 //   - uploads go through the lenient v2 reader, so a damaged trace
 //     degrades into drop counters and corruption reports (surfaced via
 //     .../stats) instead of an ingestion failure,
-//   - a global namespace memory budget (Config.NsMemBudgetBytes)
-//     evicts idle namespaces LRU-first: eviction drops the snapshot,
-//     deriver and caches but keeps the on-disk store, and the evicted
-//     tenant's next query transparently re-opens from the compacted
-//     state segment,
+//   - one memory budget (Config.MemBudgetBytes) bounds the raw trace
+//     bytes resident across all namespaces: uploads that would overflow
+//     it first evict idle namespaces LRU-first and shed only if that
+//     frees too little. Eviction drops the snapshot, deriver and caches
+//     but keeps the on-disk store, and the evicted tenant's next query
+//     transparently re-opens from the compacted state segment,
 //   - durability has one backend, the segment store: the trace chain is
 //     the commit point of every acknowledged ingest and the compacted
 //     state segment is a cache of it (DESIGN.md §13).
@@ -117,8 +118,15 @@ type Config struct {
 	// requests shed with 503. 0 means unlimited.
 	MaxInflight int
 	// MemBudgetBytes caps the raw trace bytes resident across every
-	// namespace's live store. Uploads whose admission would exceed it
-	// shed with 503 until a replace or eviction shrinks the total.
+	// namespace plus the declared sizes of uploads in flight. An upload
+	// that would exceed it first evicts idle store-backed namespaces,
+	// least recently used first (snapshot, deriver and caches dropped;
+	// the on-disk store kept, so the next request re-opens
+	// transparently), and sheds with 503 only if it still does not fit.
+	// Every ingest then trims residency back under the cap the same way.
+	// The cap is soft by up to one namespace: an append that first
+	// replays an evicted namespace's chain charges the whole chain, and
+	// the trim never evicts the namespace it just served.
 	// 0 means unlimited.
 	MemBudgetBytes int64
 	// MaxBodyBytes caps one trace-upload request body; overflow answers
@@ -150,12 +158,6 @@ type Config struct {
 	// MaxNamespaces caps registered namespaces, counting "default".
 	// Creation past the cap answers 429. 0 means unlimited.
 	MaxNamespaces int
-	// NsMemBudgetBytes is the global namespace memory budget: when the
-	// raw trace bytes resident across all namespaces exceed it, idle
-	// namespaces are evicted LRU-first (snapshot, deriver and caches
-	// dropped; the on-disk store kept, so the next request re-opens
-	// transparently). 0 disables eviction.
-	NsMemBudgetBytes int64
 	// NsRateLimit admits at most this many requests per second per
 	// namespace (each namespace gets its own token bucket of depth
 	// NsRateBurst), underneath the global RateLimit. 0 disables
@@ -219,12 +221,12 @@ type Server struct {
 	// Admission control (each is nil when unconfigured = unlimited).
 	limiter   *resilience.TokenBucket
 	admission *resilience.Semaphore
-	memBudget *resilience.Budget
 
-	// resident is the raw trace bytes resident across all namespaces —
-	// the reading the NsMemBudgetBytes evictor compares. touchClock is
-	// the logical clock namespaces stamp on use, so LRU ordering is
-	// deterministic and free of wall-clock reads.
+	// resident is the raw trace bytes resident across all namespaces
+	// plus the reservations of uploads in flight — the one reading
+	// MemBudgetBytes is enforced against. touchClock is the logical
+	// clock namespaces stamp on use, so LRU ordering is deterministic
+	// and free of wall-clock reads.
 	resident   atomic.Int64
 	touchClock atomic.Int64
 
@@ -292,7 +294,6 @@ func New(cfg Config) *Server {
 	}
 	s.limiter = resilience.NewTokenBucket(cfg.RateLimit, burst)
 	s.admission = resilience.NewSemaphore(cfg.MaxInflight)
-	s.memBudget = resilience.NewBudget(cfg.MemBudgetBytes)
 	s.storeRetry = cfg.StoreRetry
 	if s.storeRetry.Attempts == 0 {
 		s.storeRetry = resilience.DefaultBackoff
@@ -398,26 +399,78 @@ func (s *Server) ensureNamespace(name string) (*namespace, error) {
 }
 
 // settleResident pins a namespace's resident-byte accounting to total,
-// propagating the delta into the server-wide total and the legacy
-// upload admission budget. Called with ns.mu held.
+// propagating the delta into the server-wide total. Called with ns.mu
+// held.
 func (s *Server) settleResident(ns *namespace, total int64) {
-	delta := total - ns.resident.Swap(total)
-	if delta == 0 {
-		return
-	}
-	s.resident.Add(delta)
-	s.memBudget.Grow(delta)
+	s.resident.Add(total - ns.resident.Swap(total))
 }
 
-// enforceNsBudget evicts least-recently-used namespaces until the
-// server-wide resident total fits NsMemBudgetBytes. exclude (the
-// namespace that just grew, typically still serving the request that
-// triggered enforcement) is never evicted. Must be called without any
-// ns.mu held; candidates that are busy (lock contended, live requests,
-// or no store to re-open from) are skipped rather than waited on.
-func (s *Server) enforceNsBudget(exclude *namespace) {
-	budget := s.cfg.NsMemBudgetBytes
-	if budget <= 0 || s.resident.Load() <= budget {
+// within reports whether a resident total of n bytes fits MemBudgetBytes.
+func (s *Server) within(n int64) bool {
+	return s.cfg.MemBudgetBytes <= 0 || n <= s.cfg.MemBudgetBytes
+}
+
+// tryReserve adds n bytes to the resident total iff the result stays
+// within MemBudgetBytes.
+func (s *Server) tryReserve(n int64) bool {
+	for {
+		used := s.resident.Load()
+		if !s.within(used + n) {
+			return false
+		}
+		if s.resident.CompareAndSwap(used, used+n) {
+			return true
+		}
+	}
+}
+
+// reserveUpload admits an upload of n declared bytes into ns: when the
+// reservation does not fit, idle namespaces are evicted to make room
+// before giving up. An upload that eviction cannot admit — over the
+// body cap, or larger than every idle namespace frees — sheds without
+// evicting anything. The caller releases the reservation with
+// endUpload.
+func (s *Server) reserveUpload(ns *namespace, n int64) bool {
+	if s.tryReserve(n) {
+		return true
+	}
+	if n > s.maxBody() || !s.within(s.resident.Load()-s.evictable(ns)+n) {
+		return false
+	}
+	s.evictFor(ns, n)
+	return s.tryReserve(n)
+}
+
+// evictable sums the resident bytes that evicting every idle namespace
+// but exclude would free right now.
+func (s *Server) evictable(exclude *namespace) int64 {
+	var n int64
+	for _, ns := range s.reg.all() {
+		if ns == exclude || !ns.mu.TryLock() {
+			continue
+		}
+		if ns.evictableLocked() {
+			n += ns.resident.Load()
+		}
+		ns.mu.Unlock()
+	}
+	return n
+}
+
+// endUpload releases an upload's reservation and trims residency back
+// under the budget now that the ingest settled its real footprint.
+func (s *Server) endUpload(ns *namespace, n int64) {
+	s.resident.Add(-n)
+	s.evictFor(ns, 0)
+}
+
+// evictFor evicts least-recently-used namespaces until n more bytes fit
+// MemBudgetBytes. exclude (the namespace the triggering request
+// targets) is never evicted. Must be called without any ns.mu held;
+// candidates that are busy (lock contended, live requests, or no store
+// to re-open from) are skipped rather than waited on.
+func (s *Server) evictFor(exclude *namespace, n int64) {
+	if s.within(s.resident.Load() + n) {
 		return
 	}
 	cands := s.reg.all()
@@ -425,13 +478,12 @@ func (s *Server) enforceNsBudget(exclude *namespace) {
 		return cands[i].lastTouch.Load() < cands[j].lastTouch.Load()
 	})
 	for _, ns := range cands {
-		if s.resident.Load() <= budget {
+		if s.within(s.resident.Load() + n) {
 			return
 		}
-		if ns == exclude {
-			continue
+		if ns != exclude {
+			s.evictNS(ns)
 		}
-		s.evictNS(ns)
 	}
 }
 
@@ -447,14 +499,8 @@ func (s *Server) evictNS(ns *namespace) bool {
 		return false
 	}
 	defer ns.mu.Unlock()
-	if ns.snap.Load() == nil {
+	if !ns.evictableLocked() {
 		return false
-	}
-	if ns.refs.Load() != 0 {
-		return false
-	}
-	if ns.store == nil {
-		return false // no durable copy; eviction would lose the tenant's data
 	}
 	ns.dropLiveLocked()
 	ns.snap.Store(nil)
@@ -539,7 +585,7 @@ func (s *Server) OpenStores() (int, error) {
 			}
 		}
 	}
-	s.enforceNsBudget(nil)
+	s.evictFor(nil, 0)
 	return opened, nil
 }
 

@@ -385,6 +385,7 @@ type Reader struct {
 	opts ReaderOptions
 
 	version int
+	hdrLen  int64 // bytes the file header occupied (0 for continuations)
 	lastSeq uint64
 	lastTS  uint64
 
@@ -473,11 +474,18 @@ func (r *Reader) readHeader() error {
 		return fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
 	r.version = int(v)
+	r.hdrLen = r.offset()
 	return nil
 }
 
 // Version reports the detected wire format version.
 func (r *Reader) Version() int { return r.version }
+
+// HeaderLen reports the bytes the trace file header occupied: 0 for a
+// continuation reader, or when lenient mode resynchronized past a
+// corrupt header. Stream length minus HeaderLen is the block payload a
+// segment store keeps of the trace.
+func (r *Reader) HeaderLen() int64 { return r.hdrLen }
 
 // Corruptions returns the corruption reports accumulated so far in
 // lenient mode. The slice is owned by the Reader; do not modify it.

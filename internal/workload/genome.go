@@ -52,9 +52,9 @@ type fuzzOp struct {
 
 // fuzzOps enumerates the op-mix dimensions in a fixed, append-only
 // order: the 8 macro benchmarks of the paper's mix, the 12 micro
-// generators of the coverage-guided driver, and 6 block-layer micro
-// ops. Corpus files reference ops by name, so reordering is safe but
-// renaming invalidates persisted genomes.
+// generators (microops.go), and 9 block-layer micro ops. Corpus files
+// reference ops by name, so reordering is safe but renaming invalidates
+// persisted genomes.
 func fuzzOps() []fuzzOp {
 	ops := []fuzzOp{
 		{name: "mix-fs-bench", spawn: (*System).spawnFsBench},

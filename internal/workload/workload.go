@@ -159,7 +159,7 @@ func (sys *System) startBackground(n int) {
 
 // Shutdown quiesces interrupt sources, unmounts every filesystem,
 // drops block devices, tears down the block layer and finalizes the
-// trace. Every run path (benchmark mix, genome, coverage-guided) ends
+// trace. Every run path (benchmark mix, clock example, genome) ends
 // here.
 func (sys *System) Shutdown() (*System, error) {
 	k, f := sys.K, sys.F
