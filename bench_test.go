@@ -590,7 +590,7 @@ func synthFixture(tb testing.TB) *db.DB {
 // synthAppendChunk encodes a standalone mini-trace of `rounds` critical
 // sections against the synthetic fixture's type 0 — its allocation,
 // locks and members already exist in the base store, so appending the
-// chunk dirties only type 0's observation groups (16 of 384). A unique
+// chunk dirties only type 0's observation groups (16 of 768). A unique
 // `salt` gives each chunk its own allocation so repeated benchmark
 // iterations never collide in the address map.
 func synthAppendChunk(rounds, salt int) []byte {
@@ -651,7 +651,7 @@ func freshSynthLive(b *testing.B) *db.DB {
 
 // BenchmarkDeriveIncrementalAppend measures the steady-state cost of
 // keeping derived rules current while a trace grows: each iteration
-// appends a ~1% chunk (1000 events touching 16 of the 384 observation
+// appends a ~1% chunk (1000 events touching 16 of the 768 observation
 // groups), seals a snapshot, and re-derives. The full-rederive variant
 // mines every group from scratch — the pre-incremental behaviour — the
 // delta variant reuses the warmed per-group cache and re-mines only the
@@ -928,27 +928,69 @@ func BenchmarkDeriveDeepNesting(b *testing.B) {
 
 // --- Segment store (the lockdocd -store-dir restart path) ---
 
-// BenchmarkSegstoreCompact measures compacting the sealed synthetic
-// store (~101k events, 384 observation groups) into one compressed
-// state segment — the cost every acknowledged ingest pays to make the
-// next restart cheap.
+// BenchmarkSegstoreCompact measures compacting the synthetic store
+// (~101k events, 768 observation groups) into one compressed state
+// segment — the cost every acknowledged ingest pays to make the next
+// restart cheap. full encodes every group, as the first compaction
+// after a restart or an eviction does; append times the compaction
+// behind a ~1% append (the chunk of BenchmarkDeriveIncrementalAppend),
+// which re-encodes only the groups the append dirtied and copies every
+// other block forward from the previous state segment.
 func BenchmarkSegstoreCompact(b *testing.B) {
-	d := synthFixture(b)
-	s, err := segstore.Open(b.TempDir(), segstore.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.ResetTrace(synthRaw); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Compact(d); err != nil {
+	open := func(b *testing.B) *segstore.Store {
+		s, err := segstore.Open(b.TempDir(), segstore.Options{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Cleanup(func() { s.Close() })
+		if err := s.ResetTrace(synthRaw); err != nil {
+			b.Fatal(err)
+		}
+		return s
 	}
+	b.Run("full", func(b *testing.B) {
+		d := synthFixture(b)
+		s := open(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.DropCache() // forget the copy-forward index: encode every group
+			if err := s.Compact(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(d.Groups())), "dirty_groups")
+	})
+	b.Run("append", func(b *testing.B) {
+		const chunkRounds = 63 // ≈ 1% of the base, dirtying 16 of 768 groups
+		live := freshSynthLive(b)
+		s := open(b)
+		prev := live.Seal()
+		if err := s.Compact(prev); err != nil {
+			b.Fatal(err)
+		}
+		dirty := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			r, err := trace.NewReader(bytes.NewReader(synthAppendChunk(chunkRounds, i)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := live.Consume(r); err != nil {
+				b.Fatal(err)
+			}
+			next := live.Seal()
+			dirty += next.DirtyGroupsSince(prev)
+			b.StartTimer()
+			if err := s.Compact(next); err != nil {
+				b.Fatal(err)
+			}
+			prev = next
+		}
+		b.ReportMetric(float64(dirty)/float64(b.N), "dirty_groups")
+	})
 }
 
 // BenchmarkSegstoreReopen compares the two ways a restarted lockdocd

@@ -18,6 +18,7 @@ type Metrics struct {
 	LoadSeconds     *obs.Histogram
 	BytesWritten    *obs.Counter
 	BlocksInflated  *obs.Counter
+	BlocksReused    *obs.Counter
 	BlockCacheHits  *obs.Counter
 	BlocksEvicted   *obs.Counter
 }
@@ -32,10 +33,11 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		SegmentsOpened:  reg.Counter("lockdoc_segstore_segments_opened_total", "segment files opened and mapped"),
 		SegmentsInvalid: reg.Counter("lockdoc_segstore_segments_invalid_total", "segments rejected as missing, short, or corrupt"),
 		Compactions:     reg.Counter("lockdoc_segstore_compactions_total", "sealed views compacted into state segments"),
-		CompactSeconds:  reg.Histogram("lockdoc_segstore_compact_seconds", "CompactState call latency", nil),
+		CompactSeconds:  reg.Histogram("lockdoc_segstore_compact_seconds", "Compact call latency", nil),
 		LoadSeconds:     reg.Histogram("lockdoc_segstore_load_seconds", "LoadState call latency", nil),
 		BytesWritten:    reg.Counter("lockdoc_segstore_bytes_written_total", "compressed segment bytes published"),
 		BlocksInflated:  reg.Counter("lockdoc_segstore_blocks_inflated_total", "segment blocks decompressed"),
+		BlocksReused:    reg.Counter("lockdoc_segstore_blocks_reused_total", "group blocks copied forward from the previous state segment"),
 		BlockCacheHits:  reg.Counter("lockdoc_segstore_block_cache_hits_total", "block reads served from the decompressed-block cache"),
 		BlocksEvicted:   reg.Counter("lockdoc_segstore_blocks_evicted_total", "decompressed blocks evicted from the cache"),
 	}
@@ -53,11 +55,12 @@ func (m *Metrics) invalid() {
 	}
 }
 
-func (m *Metrics) compacted(start time.Time, bytes int) {
+func (m *Metrics) compacted(start time.Time, bytes, reused int) {
 	if m != nil {
 		m.Compactions.Inc()
 		m.CompactSeconds.ObserveSince(start)
 		m.BytesWritten.Add(uint64(bytes))
+		m.BlocksReused.Add(uint64(reused))
 	}
 }
 

@@ -41,9 +41,10 @@ var ErrBadSegment = errors.New("segstore: bad segment")
 // what one ingest commit or one sealed snapshot produces, so building
 // them in memory before the atomic publish keeps the write path simple.
 type segWriter struct {
-	buf bytes.Buffer
-	fw  *flate.Writer
-	tmp [binary.MaxVarintLen64]byte
+	buf  bytes.Buffer
+	comp bytes.Buffer // scratch for one block's compressed bytes
+	fw   *flate.Writer
+	tmp  [binary.MaxVarintLen64]byte
 }
 
 func newSegWriter(kindByte byte) *segWriter {
@@ -56,15 +57,15 @@ func newSegWriter(kindByte byte) *segWriter {
 
 // addBlock compresses raw and appends it as one block.
 func (w *segWriter) addBlock(raw []byte) error {
-	var comp bytes.Buffer
+	w.comp.Reset()
 	if w.fw == nil {
-		fw, err := flate.NewWriter(&comp, flate.DefaultCompression)
+		fw, err := flate.NewWriter(&w.comp, flate.DefaultCompression)
 		if err != nil {
 			return err
 		}
 		w.fw = fw
 	} else {
-		w.fw.Reset(&comp)
+		w.fw.Reset(&w.comp)
 	}
 	if _, err := w.fw.Write(raw); err != nil {
 		return err
@@ -72,15 +73,34 @@ func (w *segWriter) addBlock(raw []byte) error {
 	if err := w.fw.Close(); err != nil {
 		return err
 	}
-	n := binary.PutUvarint(w.tmp[:], uint64(len(raw)))
-	w.buf.Write(w.tmp[:n])
-	n = binary.PutUvarint(w.tmp[:], uint64(comp.Len()))
-	w.buf.Write(w.tmp[:n])
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(comp.Bytes()))
-	w.buf.Write(crc[:])
-	w.buf.Write(comp.Bytes())
+	comp := w.comp.Bytes()
+	w.writeBlock(len(raw), crc32.ChecksumIEEE(comp), comp)
 	return nil
+}
+
+// copyBlock appends block i of seg verbatim — the bytes addBlock would
+// write for the same raw input, since DEFLATE is deterministic — after
+// re-checking the block CRC. It reports false, writing nothing, when the
+// compressed bytes no longer match their CRC.
+func (w *segWriter) copyBlock(seg *segment, i int) bool {
+	b := seg.blocks[i]
+	comp := seg.data[b.off : b.off+b.comp]
+	if crc32.ChecksumIEEE(comp) != b.crc {
+		return false
+	}
+	w.writeBlock(b.raw, b.crc, comp)
+	return true
+}
+
+func (w *segWriter) writeBlock(rawLen int, crc uint32, comp []byte) {
+	n := binary.PutUvarint(w.tmp[:], uint64(rawLen))
+	w.buf.Write(w.tmp[:n])
+	n = binary.PutUvarint(w.tmp[:], uint64(len(comp)))
+	w.buf.Write(w.tmp[:n])
+	var le [4]byte
+	binary.LittleEndian.PutUint32(le[:], crc)
+	w.buf.Write(le[:])
+	w.buf.Write(comp)
 }
 
 func (w *segWriter) bytes() []byte { return w.buf.Bytes() }

@@ -12,7 +12,9 @@
 // block i+1 the observations of group i. Reopening a store therefore
 // decodes only block 0 and materializes each group's observations
 // lazily, on first use, which is what makes restart near-instant even
-// for six-figure-event traces.
+// for six-figure-event traces. Compaction is incremental in the same
+// spirit: a group that did not change since the previous compaction has
+// its compressed block copied forward instead of re-encoded.
 //
 // Segment files are mmap'd on open (with a read-into-memory fallback
 // off unix or when a custom FS is injected), and decompressed blocks
@@ -102,6 +104,12 @@ type Store struct {
 	dirty   bool                // manifest tail may hold a torn line from a failed append
 	closed  bool
 
+	// prev is the copy-forward index Compact reuses blocks from; forgets
+	// counts its resets, so a Compact that raced one does not reinstall
+	// what was just released.
+	prev    copyForward
+	forgets uint64
+
 	cmu      sync.Mutex
 	cacheCap int
 	cache    map[blockKey]*list.Element
@@ -116,6 +124,17 @@ type blockKey struct {
 type cacheEnt struct {
 	key  blockKey
 	data []byte
+}
+
+// copyForward is what the last successful Compact of a sealed view
+// leaves for the next one: the state segment it wrote (the in-memory
+// bytes, parsed) and the block index of every group it held. Sealed
+// groups are copy-on-write, so a group pointer found here still has
+// exactly the content its block encodes. The zero value matches
+// nothing.
+type copyForward struct {
+	seg    *segment
+	blocks map[*db.ObsGroup]int
 }
 
 var (
@@ -263,6 +282,7 @@ func (s *Store) Close() error {
 	}
 	s.segs = nil
 	s.retired = nil
+	s.forgetLocked()
 	s.cmu.Lock()
 	s.cache = nil
 	s.lru = nil
@@ -292,16 +312,16 @@ func stripTraceHeader(raw []byte) ([]byte, error) {
 	return raw, nil
 }
 
-func chunkTrace(payload []byte) [][]byte {
-	var out [][]byte
+// traceSegment compresses bare sync-block bytes into a trace segment,
+// one block per traceChunk of payload.
+func traceSegment(payload []byte) (*segWriter, error) {
+	w := newSegWriter(kindByteTrace)
 	for off := 0; off < len(payload); off += traceChunk {
-		end := off + traceChunk
-		if end > len(payload) {
-			end = len(payload)
+		if err := w.addBlock(payload[off:min(off+traceChunk, len(payload))]); err != nil {
+			return nil, fmt.Errorf("segstore: compressing segment: %w", err)
 		}
-		out = append(out, payload[off:end])
 	}
-	return out
+	return w, nil
 }
 
 // repairLocked rewrites the manifest from the in-memory entry list
@@ -317,16 +337,10 @@ func (s *Store) repairLocked() error {
 	return nil
 }
 
-// publishLocked compresses blocks into a new segment file and
-// publishes it atomically (temp + fsync + rename). The manifest is NOT
-// touched; the caller records the returned entry.
-func (s *Store) publishLocked(kind string, kindByte byte, blocks [][]byte) (manifest.Entry, error) {
-	w := newSegWriter(kindByte)
-	for _, b := range blocks {
-		if err := w.addBlock(b); err != nil {
-			return manifest.Entry{}, fmt.Errorf("segstore: compressing segment: %w", err)
-		}
-	}
+// publishLocked writes the finished segment w as a new segment file,
+// atomically (temp + fsync + rename). The manifest is NOT touched; the
+// caller records the returned entry.
+func (s *Store) publishLocked(kind string, w *segWriter) (manifest.Entry, error) {
 	data := w.bytes()
 	seq := s.nextSeq
 	name := segName(seq)
@@ -365,6 +379,10 @@ func (s *Store) ResetTrace(raw []byte) error {
 	if err != nil {
 		return err
 	}
+	w, err := traceSegment(payload)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -375,7 +393,7 @@ func (s *Store) ResetTrace(raw []byte) error {
 	}
 	var entries []manifest.Entry
 	if len(payload) > 0 {
-		e, err := s.publishLocked(KindTrace, kindByteTrace, chunkTrace(payload))
+		e, err := s.publishLocked(KindTrace, w)
 		if err != nil {
 			return err
 		}
@@ -390,6 +408,7 @@ func (s *Store) ResetTrace(raw []byte) error {
 	old := s.entries
 	s.entries = entries
 	s.retireLocked(old)
+	s.forgetLocked()
 	if len(entries) > 0 {
 		s.m.wrote(int(entries[0].Size))
 	}
@@ -409,6 +428,10 @@ func (s *Store) AppendTrace(raw []byte) error {
 	if len(payload) == 0 {
 		return nil
 	}
+	w, err := traceSegment(payload)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -417,7 +440,7 @@ func (s *Store) AppendTrace(raw []byte) error {
 	if err := s.repairLocked(); err != nil {
 		return fmt.Errorf("segstore: repairing manifest: %w", err)
 	}
-	e, err := s.publishLocked(KindTrace, kindByteTrace, chunkTrace(payload))
+	e, err := s.publishLocked(KindTrace, w)
 	if err != nil {
 		return err
 	}
@@ -441,26 +464,48 @@ func (s *Store) CommitBlocks(raw []byte) error { return s.AppendTrace(raw) }
 // state segment (block 0 metadata, block i+1 group i) and atomically
 // swaps it in for any previous state segments. Use db.DB.SealTo(store)
 // to seal-and-compact in one step.
+//
+// Only groups that changed since the last Compact are encoded: a group
+// the previously compacted sealed view shares by pointer has its
+// compressed block copied forward verbatim, after a CRC re-check, so
+// the segment is byte-identical to a full re-encode while the work
+// scales with the dirty groups.
 func (s *Store) Compact(view *db.DB) error {
 	start := time.Now()
-	groups := view.Groups()
-	blocks := make([][]byte, 0, len(groups)+1)
+	s.mu.Lock()
+	prev, forgets := s.prev, s.forgets
+	s.mu.Unlock()
+
 	var meta bytes.Buffer
 	if err := view.EncodeStateMeta(&meta); err != nil {
 		return fmt.Errorf("segstore: encoding state: %w", err)
 	}
-	blocks = append(blocks, meta.Bytes())
-	for _, g := range groups {
+	w := newSegWriter(kindByteState)
+	if err := w.addBlock(meta.Bytes()); err != nil {
+		return fmt.Errorf("segstore: compressing segment: %w", err)
+	}
+	groups := view.Groups()
+	next := copyForward{blocks: make(map[*db.ObsGroup]int, len(groups))}
+	reused := 0
+	var buf bytes.Buffer
+	for i, g := range groups {
+		next.blocks[g] = i + 1
+		if j, ok := prev.blocks[g]; ok && w.copyBlock(prev.seg, j) {
+			reused++
+			continue
+		}
 		// A view loaded from this (or another) store may hold stub
 		// groups; materialize before encoding.
 		if err := view.Hydrate(g); err != nil {
 			return fmt.Errorf("segstore: hydrating group for compaction: %w", err)
 		}
-		var buf bytes.Buffer
+		buf.Reset()
 		if err := view.EncodeGroupObs(&buf, g); err != nil {
 			return fmt.Errorf("segstore: encoding group: %w", err)
 		}
-		blocks = append(blocks, buf.Bytes())
+		if err := w.addBlock(buf.Bytes()); err != nil {
+			return fmt.Errorf("segstore: compressing segment: %w", err)
+		}
 	}
 
 	s.mu.Lock()
@@ -471,7 +516,7 @@ func (s *Store) Compact(view *db.DB) error {
 	if err := s.repairLocked(); err != nil {
 		return fmt.Errorf("segstore: repairing manifest: %w", err)
 	}
-	e, err := s.publishLocked(KindState, kindByteState, blocks)
+	e, err := s.publishLocked(KindState, w)
 	if err != nil {
 		return err
 	}
@@ -491,8 +536,22 @@ func (s *Store) Compact(view *db.DB) error {
 	}
 	s.entries = keep
 	s.retireLocked(old)
-	s.m.compacted(start, int(e.Size))
+	// Only a sealed view's groups are frozen: a live store still merges
+	// in place into the groups no seal has shared.
+	if view.Sealed() && s.forgets == forgets {
+		if next.seg, err = parseSegment(e.Name, w.bytes()); err == nil {
+			s.prev = next
+		}
+	}
+	s.m.compacted(start, int(e.Size), reused)
 	return nil
+}
+
+// forgetLocked drops the copy-forward index, releasing the groups and
+// the segment bytes it pins; the next Compact encodes every group.
+func (s *Store) forgetLocked() {
+	s.prev = copyForward{}
+	s.forgets++
 }
 
 // segment returns the opened segment for entry e, opening (and fully
@@ -644,12 +703,17 @@ func (s *Store) LoadState() (*db.DB, bool, error) {
 	return nil, false, nil
 }
 
-// DropCache empties the decompressed-block cache without closing the
-// store: mapped segments stay readable and the next hydration simply
-// re-inflates. lockdocd calls it when a namespace is evicted under
-// memory pressure — the mmap itself costs no heap, the inflated
-// blocks do. Safe against concurrent reads; a no-op on a closed store.
+// DropCache empties the decompressed-block cache and forgets the
+// copy-forward index without closing the store: mapped segments stay
+// readable, the next hydration simply re-inflates and the next Compact
+// encodes every group. lockdocd calls it when a namespace is evicted
+// under memory pressure — the mmap itself costs no heap, the inflated
+// blocks and the groups the index pins do. Safe against concurrent
+// reads; a no-op on a closed store.
 func (s *Store) DropCache() {
+	s.mu.Lock()
+	s.forgetLocked()
+	s.mu.Unlock()
 	s.cmu.Lock()
 	defer s.cmu.Unlock()
 	if s.cache == nil {
@@ -724,6 +788,7 @@ func (s *Store) RepairTrace() (int, error) {
 		s.entries = keep
 		s.dirty = false
 		s.retireLocked(drop)
+		s.forgetLocked()
 		return len(drop), nil
 	}
 	return 0, nil

@@ -10,7 +10,10 @@ import (
 	"sync"
 	"testing"
 
+	"lockdoc/internal/blk"
+	"lockdoc/internal/obs"
 	"lockdoc/internal/segstore"
+	"lockdoc/internal/trace"
 )
 
 // storeServer builds a server persisting into a segment store at dir.
@@ -333,5 +336,66 @@ func TestStoreConcurrentServing(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestStoreAppendCompactsOnlyDirtyGroups: the compaction behind each
+// store-backed append copies every group the append left clean forward
+// from the previous state segment — blocks reused equal groups minus
+// AppendStats.Dirty — and decompresses no segment block to do it. The
+// block-layer workload gives about 85 groups, a few to a few dozen of
+// which each one-block append leaves untouched.
+func TestStoreAppendCompactsOnlyDirtyGroups(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := trace.NewWriterOptions(&buf, trace.WriterOptions{Version: trace.FormatV2, SyncInterval: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := blk.RunExample(w, 1, 20); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	// cuts[k] is where sync block k+1 starts.
+	marker := []byte{0xFF, 'L', 'K', 'S', 'Y'}
+	var cuts []int
+	for i := bytes.Index(raw, marker) + 1; ; {
+		j := bytes.Index(raw[i:], marker)
+		if j < 0 {
+			break
+		}
+		cuts = append(cuts, i+j)
+		i += j + 1
+	}
+	if len(cuts) < 8 {
+		t.Fatalf("trace has %d sync blocks, want at least 9", len(cuts)+1)
+	}
+
+	m := segstore.NewMetrics(obs.NewRegistry())
+	st, err := segstore.Open(t.TempDir(), segstore.Options{Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	s := New(Config{Ingest: lenientIngest(), Store: st})
+	if _, err := s.LoadTrace(bytes.NewReader(raw[:cuts[2]]), "base"); err != nil {
+		t.Fatal(err)
+	}
+	inflated := m.BlocksInflated.Value()
+	for k := 2; k < 7; k++ {
+		before := m.BlocksReused.Value()
+		snap, stats, err := s.AppendTrace(bytes.NewReader(raw[cuts[k]:cuts[k+1]]), "block")
+		if err != nil {
+			t.Fatalf("append of block %d: %v", k+1, err)
+		}
+		if got, want := m.BlocksReused.Value()-before, uint64(len(snap.DB.Groups())-stats.Dirty); got != want {
+			t.Errorf("append of block %d: %d blocks copied forward, want %d groups minus %d dirty",
+				k+1, got, len(snap.DB.Groups()), stats.Dirty)
+		}
+	}
+	if m.BlocksReused.Value() == 0 {
+		t.Fatal("no append left a clean group; the test proves nothing")
+	}
+	if got := m.BlocksInflated.Value(); got != inflated {
+		t.Errorf("the appends' compactions inflated %d segment blocks, want 0", got-inflated)
 	}
 }
