@@ -715,7 +715,7 @@ func BenchmarkDeriveSequential(b *testing.B) {
 	d := synthFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DeriveAll(context.Background(), d, core.Options{AcceptThreshold: 0.9}); err != nil {
+		if _, err := core.DeriveAll(context.Background(), d, core.Options{AcceptThreshold: 0.9, Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -757,11 +757,11 @@ func BenchmarkDeriveParallel(b *testing.B) {
 }
 
 // BenchmarkDeriveFusedStream compares the two ways of turning raw trace
-// bytes into rules: the phased pipeline (decode+import everything, then
-// derive) against the fused streaming pipeline (core.StreamDeriver,
-// which speculatively mines sealed snapshots while later sync blocks
-// decode). Both produce byte-identical results; the fused variant hides
-// mining latency behind decode when spare cores exist.
+// bytes into rules: the phased pipeline (import the whole trace, then
+// core.DeriveAll) against core.StreamDeriver (consume into a live
+// store, then one Seal and one DeltaDeriver pass), which the CLIs and
+// lockdocd use. Both produce byte-identical results and both mine with
+// GOMAXPROCS workers, so the two rows should agree within noise.
 func BenchmarkDeriveFusedStream(b *testing.B) {
 	synthFixture(b) // populate synthRaw
 	opt := core.Options{AcceptThreshold: 0.9, Parallelism: runtime.GOMAXPROCS(0)}
@@ -786,7 +786,6 @@ func BenchmarkDeriveFusedStream(b *testing.B) {
 			if _, _, _, err := sd.Derive(context.Background()); err != nil {
 				b.Fatal(err)
 			}
-			sd.Close()
 		}
 	})
 }

@@ -171,7 +171,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 
 	deriveOpt := derive.Apply(core.Options{AcceptThreshold: *tac})
 	deriveOpt.Metrics = core.NewMetrics(obsf.Registry())
-	results, err := cli.DeriveAll(ctx, d, deriveOpt)
+	results, err := core.DeriveAll(ctx, d, deriveOpt)
 	if err != nil {
 		return err
 	}

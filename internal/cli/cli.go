@@ -318,22 +318,12 @@ func (f DeriveFlags) Apply(opt core.Options) core.Options {
 	return opt
 }
 
-// DeriveAll is the shared derivation entry point of the lockdoc-*
-// commands: core.DeriveAll, which shards the observation groups over
-// opt.Parallelism workers (sequentially for Parallelism 1) and stops
-// at the next group boundary with ctx.Err() when ctx is cancelled.
-func DeriveAll(ctx context.Context, d *db.DB, opt core.Options) ([]core.Result, error) {
-	return core.DeriveAll(ctx, d, opt)
-}
-
-// StreamDerive is the fused import+derive entry point: it decodes the
-// trace at path into a fresh store through a core.StreamDeriver, which
-// mines speculative snapshots on a background worker while later sync
-// blocks are still decoding, then runs the definitive pass. The
-// returned view and results are byte-identical to OpenDB + DeriveAll
-// of the same file (the view is a sealed snapshot; render and
-// RecoveredFromDB accept it unchanged), but on a multi-core box the
-// wall time approaches max(decode, mine) instead of their sum.
+// StreamDerive is the import+derive entry point: it decodes the trace
+// at path into a fresh store through a core.StreamDeriver, seals it
+// and derives the rules in one pass. The returned view and results are
+// byte-identical to OpenDB + core.DeriveAll of the same file (the view
+// is a sealed snapshot; render and RecoveredFromDB accept it
+// unchanged).
 func StreamDerive(ctx context.Context, path string, opts Options, opt core.Options) (*db.DB, []core.Result, core.StreamStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -349,7 +339,6 @@ func StreamDerive(ctx context.Context, path string, opts Options, opt core.Optio
 		return nil, nil, core.StreamStats{}, fmt.Errorf("reading %s: %w", path, err)
 	}
 	sd := core.NewStreamDeriver(db.New(ImportConfig(opts)), opt)
-	defer sd.Close()
 	if _, err := sd.Consume(r); err != nil {
 		return nil, nil, core.StreamStats{}, err
 	}
@@ -510,15 +499,15 @@ func (f FollowFlags) Backoff(reg *obs.Registry) resilience.Backoff {
 // Follow tails the trace at path with the evaluation's filter
 // configuration: each poll decodes only the bytes appended since the
 // last one (resuming transaction reconstruction from the live
-// per-context state) through a fused core.StreamDeriver, and emit is
+// per-context state) through one core.StreamDeriver, and emit is
 // called with a sealed snapshot, the derived rules and the window's
 // streaming statistics — once after the initial read, then again after
 // every poll that appended events. appended is the event count of the
 // poll. The results are byte-identical to a batch import + DeriveAll
-// of the file's current contents: between emits the deriver mines
-// speculative snapshots in the background, and each emit's definitive
-// pass re-mines only what speculation has not already covered, so
-// stats.Delta.Remined reflects the groups the window actually touched.
+// of the file's current contents: each emit's pass re-mines only the
+// groups the poll touched and answers the rest from the deriver's
+// per-group cache, so stats.Delta.Remined reflects the groups the
+// window actually touched.
 // Follow returns when emit fails, the poll budget is exhausted, or ctx
 // is cancelled (Main cancels it on SIGINT/SIGTERM, so -follow exits
 // promptly, even mid-poll); like OpenDB-based commands it reports
@@ -565,16 +554,7 @@ func Follow(ctx context.Context, path string, opts Options, ff FollowFlags, opt 
 	default:
 		fw.SetSink(sinks)
 	}
-	cfg := fs.DefaultConfig()
-	if opts.NoFilter {
-		cfg = db.Config{SubclassedTypes: cfg.SubclassedTypes}
-	}
-	cfg.Lenient = opts.Ingest.Lenient
-	if opts.Obs != nil {
-		cfg.Metrics = db.NewMetrics(opts.Obs)
-	}
-	sd := core.NewStreamDeriver(db.New(cfg), opt)
-	defer sd.Close()
+	sd := core.NewStreamDeriver(db.New(ImportConfig(opts)), opt)
 
 	emitted := false
 	for polls := 0; ; polls++ {

@@ -211,41 +211,6 @@ func TestDeriveFlagsApply(t *testing.T) {
 	}
 }
 
-// DeriveAll must agree with the sequential reference implementation —
-// the CLIs and lockdocd route all derivation through it.
-func TestDeriveAllMatchesSequential(t *testing.T) {
-	d, err := OpenDB(writeTrace(t), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := core.Options{AcceptThreshold: 0.9, Parallelism: 4}
-	got, err := DeriveAll(context.Background(), d, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := opt
-	seq.Parallelism = 1
-	want, err := core.DeriveAll(context.Background(), d, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("result count %d != %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Group != want[i].Group {
-			t.Fatalf("result %d: group mismatch", i)
-		}
-		gw, ww := got[i].Winner, want[i].Winner
-		if (gw == nil) != (ww == nil) {
-			t.Fatalf("result %d: winner presence mismatch", i)
-		}
-		if gw != nil && (d.SeqString(gw.Seq) != d.SeqString(ww.Seq) || gw.Sa != ww.Sa || gw.Sr != ww.Sr) {
-			t.Fatalf("result %d: winner mismatch", i)
-		}
-	}
-}
-
 // TestObsFlagsDisabledByDefault: without -obs-dump or -debug-addr the
 // registry stays nil, so pipeline instruments compile to no-ops.
 func TestObsFlagsDisabledByDefault(t *testing.T) {

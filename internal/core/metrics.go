@@ -10,10 +10,10 @@ import (
 // Metrics is the derivation-stage instrument set: per-group mine
 // latency, trie arena size, delta-derivation reuse accounting, and the
 // work-stealing engine's per-pass worker accounting (claims, steals,
-// idle tail, interner merge) plus the streaming deriver's speculation
-// counters. Attach one via Options.Metrics; a nil *Metrics keeps every
-// hook a no-op, and mineOne skips even the clock reads, so an
-// uninstrumented derivation pays a single pointer comparison per group.
+// idle tail, interner merge). Attach one via Options.Metrics; a nil
+// *Metrics keeps every hook a no-op, and mineOne skips even the clock
+// reads, so an uninstrumented derivation pays a single pointer
+// comparison per group.
 type Metrics struct {
 	GroupsMined  *obs.Counter
 	MineSeconds  *obs.Histogram
@@ -22,15 +22,11 @@ type Metrics struct {
 	DeltaRemined *obs.Counter
 
 	// Work-stealing engine (one sample set per parallel pass).
-	WorkerClaims  *obs.Counter   // groups claimed across all workers
-	WorkerSteals  *obs.Counter   // groups claimed from another worker's shard
-	WorkerIdle    *obs.Histogram // per-worker idle tail at the pass barrier
-	InternMerge   *obs.Histogram // interner merge time at the pass barrier
-	StealRatio    *obs.Histogram // steals/claims per pass (imbalance signal)
-
-	// Streaming deriver (StreamDeriver).
-	StreamSeals  *obs.Counter // speculative mid-stream seals taken
-	StreamPasses *obs.Counter // speculative warm-up derivation passes completed
+	WorkerClaims *obs.Counter   // groups claimed across all workers
+	WorkerSteals *obs.Counter   // groups claimed from another worker's shard
+	WorkerIdle   *obs.Histogram // per-worker idle tail at the pass barrier
+	InternMerge  *obs.Histogram // interner merge time at the pass barrier
+	StealRatio   *obs.Histogram // steals/claims per pass (imbalance signal)
 }
 
 // NewMetrics registers the core instrument set on reg (nil reg, nil
@@ -53,9 +49,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		InternMerge:  reg.Histogram("lockdoc_core_intern_merge_seconds", "per-pass interner merge time", nil),
 		StealRatio: reg.Histogram("lockdoc_core_steal_ratio", "stolen fraction of claims per parallel pass",
 			[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 1}),
-
-		StreamSeals:  reg.Counter("lockdoc_core_stream_seals_total", "speculative seals taken by the streaming deriver"),
-		StreamPasses: reg.Counter("lockdoc_core_stream_passes_total", "speculative warm-up derivation passes completed"),
 	}
 }
 
@@ -93,15 +86,6 @@ func (m *Metrics) internMerge(d time.Duration) {
 		return
 	}
 	m.InternMerge.Observe(d.Seconds())
-}
-
-// stream records one StreamDeriver window at its final derivation.
-func (m *Metrics) stream(stats StreamStats) {
-	if m == nil {
-		return
-	}
-	m.StreamSeals.Add(uint64(stats.Seals))
-	m.StreamPasses.Add(uint64(stats.SpecPasses))
 }
 
 // mineOne runs one group through the given miner, stamping the

@@ -7,77 +7,35 @@ import (
 	"lockdoc/internal/trace"
 )
 
-// StreamDeriver fuses trace ingestion with rule derivation: instead of
-// decoding the whole trace into the store and only then mining it (two
-// serial phases), it takes cheap copy-on-write snapshots of the live
-// store at sync-block boundaries while ingestion is still running and
-// mines them speculatively on a background goroutine. By the time the
-// last block has decoded, most observation groups have stopped
-// changing, so the final derivation pass answers them from the
-// DeltaDeriver's per-group cache (copy-on-write pointer identity) and
-// re-mines only the groups the tail of the trace still touched —
-// decode and mine overlap instead of adding up.
+// StreamDeriver is a resumable deriver over a live store: Add and
+// Consume feed events into the store, and Derive seals it once and
+// runs one DeltaDeriver pass over the snapshot. The deriver keeps the
+// DeltaDeriver's per-group cache across windows, so each Derive
+// re-mines only the groups the events since the previous Derive
+// touched.
 //
 // The returned results are byte-identical to a batch
-// DeriveAll(sealed view) of the same events: speculative passes only
-// warm the per-group cache (a failed or cancelled pass warms nothing),
-// and the final pass runs over the final sealed view under the
-// DeltaDeriver soundness argument (see incremental.go). The
-// differential harness in stream_test.go pins this across randomized
-// block splits and the whole options matrix.
+// DeriveAll(sealed view) of the same events, by the DeltaDeriver
+// soundness argument (see incremental.go). The differential harness in
+// stream_test.go pins this across randomized block splits and the
+// whole options matrix.
 //
 // A StreamDeriver is not safe for concurrent use: one goroutine feeds
-// events (Add/Consume) and calls Derive; only the internal speculation
-// goroutine runs concurrently, and Derive joins it before touching the
-// deriver state it hands back. After Derive the deriver is reusable —
-// the next Add/Consume opens a new window against the same live store,
+// events and calls Derive. After Derive the deriver is reusable — the
+// next Add/Consume opens a new window against the same live store,
 // which is how lockdocd append mode and the follow loop stream across
 // many windows while keeping one warm cache.
 type StreamDeriver struct {
-	live *db.DB
-	dd   *DeltaDeriver
-	opt  Options
-
-	sealEvery int
-	sinceSeal int
-	specOn    bool // speculation pays off only with idle CPUs
-
-	// Current-window accounting.
-	events int
-	seals  int
-
-	// Background speculation session. specPasses is written by the
-	// goroutine and read only after <-done (close(done) is the
-	// happens-before edge); views is the latest-wins handoff channel.
-	views  chan *db.DB
-	done   chan struct{}
-	active bool
-
-	specPasses int
-
-	// syncSpec runs speculative passes inline instead of on the
-	// background goroutine — a test hook making stats deterministic.
-	syncSpec bool
+	live   *db.DB
+	dd     *DeltaDeriver
+	opt    Options
+	events int // events fed into the live store this window
 }
 
-// DefaultStreamSealEvents is the speculative-seal cadence: a snapshot
-// is taken (and mined in the background) roughly every this many
-// events. Sealing is O(groups + open transactions), far below the
-// mining it overlaps, so the cadence mainly bounds how much re-mining
-// of still-hot groups the speculation wastes.
-const DefaultStreamSealEvents = 4096
-
 // NewStreamDeriver wraps the given live store. The store must be
-// unsealed and should not be mutated behind the deriver's back while a
-// window is open (speculation snapshots it).
+// unsealed and should be mutated only through the deriver.
 func NewStreamDeriver(live *db.DB, opt Options) *StreamDeriver {
-	return &StreamDeriver{
-		live:      live,
-		dd:        NewDeltaDeriver(opt),
-		opt:       opt,
-		sealEvery: DefaultStreamSealEvents,
-		specOn:    opt.workers() > 1,
-	}
+	return &StreamDeriver{live: live, dd: NewDeltaDeriver(opt), opt: opt}
 }
 
 // Live returns the wrapped live store (for corruption counters and
@@ -87,155 +45,53 @@ func (sd *StreamDeriver) Live() *db.DB { return sd.live }
 // Options returns the derivation options the deriver mines with.
 func (sd *StreamDeriver) Options() Options { return sd.opt }
 
-// SetSealEvery overrides the speculative-seal cadence (events between
-// snapshots). Values < 1 are ignored.
-func (sd *StreamDeriver) SetSealEvery(n int) {
-	if n > 0 {
-		sd.sealEvery = n
-	}
-}
-
-// Add feeds one event into the live store, speculating at the
-// configured cadence. It is the tail-follower's per-event sink.
+// Add feeds one event into the live store. It is the tail-follower's
+// per-event sink.
 func (sd *StreamDeriver) Add(ev *trace.Event) error {
 	if err := sd.live.Add(ev); err != nil {
 		return err
 	}
 	sd.events++
-	if sd.specOn {
-		sd.sinceSeal++
-		if sd.sinceSeal >= sd.sealEvery {
-			sd.sinceSeal = 0
-			sd.speculate()
-		}
-	}
 	return nil
 }
 
-// Consume streams every remaining event of r into the live store (with
-// the exact semantics of db.DB.Consume, including corruption-counter
-// folding), speculating at the configured cadence — but only at
-// CRC-verified sync-block boundaries, so a speculative snapshot never
-// reflects a block the reader has not fully verified. Decoding of
-// later blocks proceeds while the snapshot mines in the background.
+// Consume streams every remaining event of r into the live store, with
+// the exact semantics of db.DB.Consume (including corruption-counter
+// folding).
 func (sd *StreamDeriver) Consume(r *trace.Reader) (int, error) {
-	if !sd.specOn {
-		n, err := sd.live.Consume(r)
-		sd.events += n
-		return n, err
-	}
-	lastBlock := r.Blocks()
-	return sd.live.ConsumeStream(r, func() {
-		sd.events++
-		sd.sinceSeal++
-		if sd.sinceSeal < sd.sealEvery {
-			return
-		}
-		// v1 traces have no blocks, so cadence alone decides there.
-		if b := r.Blocks(); b != lastBlock || r.Version() == 1 {
-			lastBlock = b
-			sd.sinceSeal = 0
-			sd.speculate()
-		}
-	})
-}
-
-// speculate snapshots the live store and hands the view to the
-// background miner, dropping any stale snapshot still queued
-// (latest-wins: mining an old prefix when a newer one exists warms
-// strictly less).
-func (sd *StreamDeriver) speculate() {
-	view := sd.live.Seal()
-	sd.seals++
-	if sd.syncSpec {
-		if _, _, err := sd.dd.DeriveAll(context.Background(), view); err == nil {
-			sd.specPasses++
-		}
-		return
-	}
-	sd.ensureBG()
-	select {
-	case sd.views <- view:
-		return
-	default:
-	}
-	select { // full: drop the stale queued view
-	case <-sd.views:
-	default:
-	}
-	sd.views <- view // single producer: cannot block after the drain
-}
-
-func (sd *StreamDeriver) ensureBG() {
-	if sd.active {
-		return
-	}
-	sd.views = make(chan *db.DB, 1)
-	sd.done = make(chan struct{})
-	sd.active = true
-	views, done := sd.views, sd.done
-	go func() {
-		defer close(done)
-		n := 0
-		for v := range views {
-			// Pure warm-up: an error (cancellation cannot happen here,
-			// hydration cannot fail on a live-store view) leaves the
-			// cache untouched and the final pass simply re-mines.
-			if _, _, err := sd.dd.DeriveAll(context.Background(), v); err == nil {
-				n++
-			}
-		}
-		sd.specPasses += n
-	}()
-}
-
-// stopBG closes the current speculation session and joins the
-// goroutine; the queued view (if any) is dropped, an in-flight pass
-// finishes first. After the join the main goroutine owns dd again.
-func (sd *StreamDeriver) stopBG() {
-	if !sd.active {
-		return
-	}
-	select { // drop a queued view: the final pass supersedes it
-	case <-sd.views:
-	default:
-	}
-	close(sd.views)
-	<-sd.done
-	sd.active = false
+	n, err := sd.live.Consume(r)
+	sd.events += n
+	return n, err
 }
 
 // StreamStats reports what one streaming window (the events between
 // two Derive calls) did.
 type StreamStats struct {
-	Events     int        // events fed into the live store this window
-	Seals      int        // speculative snapshots taken
-	SpecPasses int        // background warm-up passes completed
-	Delta      DeltaStats // final pass: Reused counts the warm groups
+	Events int        // events fed into the live store this window
+	Delta  DeltaStats // the window's pass: Reused counts cached groups
+
+	// Deprecated: the deriver no longer mines speculatively; always 0.
+	SpecPasses int
 }
 
-// Derive closes the current window: it joins the background miner,
-// seals the final snapshot and runs the definitive derivation pass
-// over it. The results are byte-identical to DeriveAll(ctx, view, opt)
-// on the returned view. On error (cancellation mid-pass) the per-group
-// cache is untouched, the window statistics are still returned, and
-// the deriver remains usable — a later Derive re-runs the final pass.
+// Derive closes the current window: it seals the live store and runs
+// the derivation pass over the snapshot. The results are
+// byte-identical to DeriveAll(ctx, view, opt) on the returned view. On
+// error (cancellation mid-pass) the per-group cache is untouched, the
+// window statistics are still returned, and the deriver remains usable
+// — a later Derive re-runs the pass.
 func (sd *StreamDeriver) Derive(ctx context.Context) (*db.DB, []Result, StreamStats, error) {
-	sd.stopBG()
 	view := sd.live.Seal()
 	results, dstats, err := sd.dd.DeriveAll(ctx, view)
-	stats := StreamStats{
-		Events: sd.events, Seals: sd.seals, SpecPasses: sd.specPasses, Delta: dstats,
-	}
+	stats := StreamStats{Events: sd.events, Delta: dstats}
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	sd.events, sd.seals, sd.specPasses, sd.sinceSeal = 0, 0, 0, 0
-	sd.opt.Metrics.stream(stats)
+	sd.events = 0
 	return view, results, stats, nil
 }
 
-// Close joins the background miner without a final pass. Call it when
-// abandoning a window (error paths); it is idempotent and a closed
-// deriver can still Derive or open a new window.
-func (sd *StreamDeriver) Close() { sd.stopBG() }
+// Close does nothing.
+//
+// Deprecated: the deriver holds no background resources.
+func (sd *StreamDeriver) Close() {}

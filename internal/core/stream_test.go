@@ -14,13 +14,10 @@ import (
 // streamOver feeds the chunks through one StreamDeriver — headered
 // chunks via a fresh reader, bare block streams via a continuation
 // reader, exactly like replayIncremental — and closes the window with
-// Derive. Speculation runs inline (syncSpec) so the stats are
-// deterministic.
-func streamOver(tb testing.TB, chunks [][]byte, opt Options, sealEvery int) (*db.DB, []Result, StreamStats) {
+// Derive.
+func streamOver(tb testing.TB, chunks [][]byte, opt Options) (*db.DB, []Result, StreamStats) {
 	tb.Helper()
 	sd := NewStreamDeriver(db.New(db.Config{}), opt)
-	sd.syncSpec = true
-	sd.SetSealEvery(sealEvery)
 	for i, c := range chunks {
 		var r *trace.Reader
 		if i == 0 || trace.HasHeader(c) {
@@ -42,41 +39,38 @@ func streamOver(tb testing.TB, chunks [][]byte, opt Options, sealEvery int) (*db
 	return view, results, stats
 }
 
-// TestStreamMatchesBatchRandomSplits: the fused pipeline must produce
+// TestStreamMatchesBatchRandomSplits: the stream deriver must produce
 // byte-identical results to batch import + DeriveAll, for any split of
-// the trace into appended chunks and any speculative-seal cadence.
+// the trace into appended chunks, sequentially and with workers.
 func TestStreamMatchesBatchRandomSplits(t *testing.T) {
 	data := syntheticTraceV2(t, 17, 2500, 64)
 	evs := readAllEvents(t, data)
-	opt := Options{AcceptThreshold: 0.9, Parallelism: 2}
-
 	batch := batchImport(t, data)
-	want := mustDeriveAll(t, batch, opt)
 
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 6; trial++ {
-		var chunks [][]byte
-		prev := 0
-		for prev < len(evs) {
-			k := prev + 1 + rng.Intn(len(evs)-prev)
-			chunks = append(chunks, encodeEvents(t, evs[prev:k], 32+rng.Intn(96)))
-			prev = k
-		}
-		sealEvery := 1 + rng.Intn(200)
-		view, got, stats := streamOver(t, chunks, opt, sealEvery)
-		label := fmt.Sprintf("trial %d (%d chunks, sealEvery %d)", trial, len(chunks), sealEvery)
-		assertSameDerivation(t, label, batch, want, view, got)
-		if stats.Events != len(evs) {
-			t.Fatalf("%s: stats.Events = %d, want %d", label, stats.Events, len(evs))
-		}
-		if stats.Seals != stats.SpecPasses {
-			t.Fatalf("%s: %d seals but %d inline passes", label, stats.Seals, stats.SpecPasses)
+	for _, workers := range []int{1, 4} {
+		opt := Options{AcceptThreshold: 0.9, Parallelism: workers}
+		want := mustDeriveAll(t, batch, opt)
+		rng := rand.New(rand.NewSource(99))
+		for trial := 0; trial < 6; trial++ {
+			var chunks [][]byte
+			prev := 0
+			for prev < len(evs) {
+				k := prev + 1 + rng.Intn(len(evs)-prev)
+				chunks = append(chunks, encodeEvents(t, evs[prev:k], 32+rng.Intn(96)))
+				prev = k
+			}
+			view, got, stats := streamOver(t, chunks, opt)
+			label := fmt.Sprintf("workers %d, trial %d (%d chunks)", workers, trial, len(chunks))
+			assertSameDerivation(t, label, batch, want, view, got)
+			if stats.Events != len(evs) {
+				t.Fatalf("%s: stats.Events = %d, want %d", label, stats.Events, len(evs))
+			}
 		}
 	}
 }
 
 // TestStreamOptionMatrix sweeps the full miner option grid through the
-// fused pipeline against the batch oracle.
+// stream deriver against the batch oracle.
 func TestStreamOptionMatrix(t *testing.T) {
 	data := syntheticTraceV2(t, 19, 1500, 64)
 	evs := readAllEvents(t, data)
@@ -89,51 +83,31 @@ func TestStreamOptionMatrix(t *testing.T) {
 		opt := base
 		opt.Parallelism = 2
 		want := mustDeriveAll(t, batch, opt)
-		view, got, _ := streamOver(t, chunks, opt, 100)
+		view, got, _ := streamOver(t, chunks, opt)
 		assertSameDerivation(t, "opts "+opt.Key(), batch, want, view, got)
 	}
 }
 
-// TestStreamSpeculationWarmsCache: with speculation on, the final pass
-// answers most groups from the warm delta cache instead of re-mining
-// the world.
-func TestStreamSpeculationWarmsCache(t *testing.T) {
-	data := syntheticTraceV2(t, 23, 3000, 64)
-	opt := Options{AcceptThreshold: 0.9, Parallelism: 2}
-	r, err := trace.NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd := NewStreamDeriver(db.New(db.Config{}), opt)
-	sd.syncSpec = true
-	sd.SetSealEvery(100)
-	if _, err := sd.Consume(r); err != nil {
-		t.Fatal(err)
-	}
-	_, _, stats, err := sd.Derive(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SpecPasses == 0 {
-		t.Fatal("no speculative passes despite a tight seal cadence")
-	}
-	if stats.Delta.Reused == 0 {
-		t.Fatalf("final pass reused nothing after %d warm-up passes (stats %+v)", stats.SpecPasses, stats)
-	}
-}
-
-// TestStreamSingleWorkerDegradesToBatch: at Parallelism 1 speculation
-// is off — there is no idle CPU to hide it on — and the pipeline is a
-// plain consume-then-derive with zero extra seals.
+// TestStreamSingleWorkerDegradesToBatch: one worker and one window is
+// a plain batch derivation — the same results, every group mined once
+// in the closing pass, nothing answered from a cache and nothing mined
+// speculatively.
 func TestStreamSingleWorkerDegradesToBatch(t *testing.T) {
 	data := syntheticTraceV2(t, 29, 1200, 64)
+	evs := readAllEvents(t, data)
 	opt := Options{AcceptThreshold: 0.9, Parallelism: 1}
 	batch := batchImport(t, data)
 	want := mustDeriveAll(t, batch, opt)
 
-	view, got, stats := streamOver(t, [][]byte{data}, opt, 10)
+	view, got, stats := streamOver(t, [][]byte{data}, opt)
 	assertSameDerivation(t, "single-worker", batch, want, view, got)
-	if stats.Seals != 0 || stats.SpecPasses != 0 {
+	if stats.Events != len(evs) {
+		t.Fatalf("stats.Events = %d, want %d", stats.Events, len(evs))
+	}
+	if d := stats.Delta; d.Reused != 0 || d.Remined != d.Groups || d.Groups == 0 {
+		t.Fatalf("single window is not one full pass: %+v", d)
+	}
+	if stats.SpecPasses != 0 {
 		t.Fatalf("speculation ran at one worker: %+v", stats)
 	}
 }
@@ -148,8 +122,6 @@ func TestStreamCancellation(t *testing.T) {
 	want := mustDeriveAll(t, batch, opt)
 
 	sd := NewStreamDeriver(db.New(db.Config{}), opt)
-	sd.syncSpec = true
-	sd.SetSealEvery(100)
 	r, err := trace.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +150,6 @@ func TestStreamAddWindows(t *testing.T) {
 	opt := Options{AcceptThreshold: 0.9, Parallelism: 2}
 
 	sd := NewStreamDeriver(db.New(db.Config{}), opt)
-	sd.syncSpec = true
-	sd.SetSealEvery(50)
 	bounds := []int{len(evs) / 4, len(evs) / 2, len(evs)}
 	prev := 0
 	for wi, end := range bounds {
@@ -202,47 +172,13 @@ func TestStreamAddWindows(t *testing.T) {
 	}
 }
 
-// TestStreamBackgroundSpeculation exercises the real background
-// goroutine path (no syncSpec): correctness must hold regardless of
-// how many warm-up passes the scheduler let through.
-func TestStreamBackgroundSpeculation(t *testing.T) {
-	data := syntheticTraceV2(t, 41, 2000, 64)
-	opt := Options{AcceptThreshold: 0.9, Parallelism: 4}
-	batch := batchImport(t, data)
-	want := mustDeriveAll(t, batch, opt)
-
-	sd := NewStreamDeriver(db.New(db.Config{}), opt)
-	sd.SetSealEvery(64)
-	r, err := trace.NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sd.Consume(r); err != nil {
-		t.Fatal(err)
-	}
-	view, got, _, err := sd.Derive(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameDerivation(t, "background", batch, want, view, got)
-	// Close after Derive is a no-op, and the deriver accepts new work.
-	sd.Close()
-	if err := sd.Add(&trace.Event{Kind: trace.KindDefLock, LockID: 99, LockName: "late", Class: trace.LockSpin, LockAddr: 0x9990, Seq: 1 << 30, TS: 1 << 30}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := sd.Derive(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// FuzzStreamEquivalence lets the fuzzer choose the workload, the chunk
-// split and the seal cadence, then checks the fused pipeline against
-// the batch oracle.
+// FuzzStreamEquivalence lets the fuzzer choose the workload and the
+// chunk split, then checks the stream deriver against the batch oracle.
 func FuzzStreamEquivalence(f *testing.F) {
-	f.Add([]byte{}, uint16(0), uint8(1))
-	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, uint16(3), uint8(10))
-	f.Add(bytes.Repeat([]byte{3, 0, 1, 4, 9, 2, 10, 16}, 40), uint16(100), uint8(25))
-	f.Fuzz(func(t *testing.T, ops []byte, split uint16, cadence uint8) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, uint16(3))
+	f.Add(bytes.Repeat([]byte{3, 0, 1, 4, 9, 2, 10, 16}, 40), uint16(100))
+	f.Fuzz(func(t *testing.T, ops []byte, split uint16) {
 		if len(ops) > 4096 {
 			t.Skip("cap workload size")
 		}
@@ -253,7 +189,7 @@ func FuzzStreamEquivalence(f *testing.F) {
 		batch := batchImport(t, encodeEvents(t, evs, 32))
 		want := mustDeriveAll(t, batch, opt)
 		chunks := [][]byte{encodeEvents(t, evs[:k], 32), encodeEvents(t, evs[k:], 32)}
-		view, got, _ := streamOver(t, chunks, opt, 1+int(cadence))
-		assertSameDerivation(t, fmt.Sprintf("ops=%d split=%d cadence=%d", len(ops), k, cadence), batch, want, view, got)
+		view, got, _ := streamOver(t, chunks, opt)
+		assertSameDerivation(t, fmt.Sprintf("ops=%d split=%d", len(ops), k), batch, want, view, got)
 	})
 }

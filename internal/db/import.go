@@ -57,13 +57,9 @@ type DB struct {
 	Stacks map[uint32][]uint32
 	Allocs map[uint64]*Allocation
 
-	keys   []LockKey
-	keyIDs map[LockKey]KeyID
-	// keyIDsShared marks keyIDs as borrowed from another store (Seal
-	// shares the live map with the view it builds); intern clones it
-	// before the first post-share insert.
-	keyIDsShared bool
-	groups       map[GroupKey]*ObsGroup
+	keys    []LockKey
+	keyIDs  map[LockKey]KeyID
+	groups  map[GroupKey]*ObsGroup
 	subbed  map[string]bool
 	blFuncs map[string]bool
 	blMembs map[string]map[string]bool
@@ -198,15 +194,6 @@ func Import(r *trace.Reader, cfg Config) (*DB, error) {
 // yields the same observations a batch Import of the concatenated trace
 // would.
 func (db *DB) Consume(r *trace.Reader) (int, error) {
-	return db.ConsumeStream(r, nil)
-}
-
-// ConsumeStream is Consume with a per-event hook: sink, when non-nil,
-// runs after each event has been applied to the store. It is how the
-// fused ingest→derive pipeline (core.StreamDeriver) observes ingestion
-// progress and takes speculative snapshots mid-stream without a second
-// decode of the trace.
-func (db *DB) ConsumeStream(r *trace.Reader, sink func()) (int, error) {
 	if db.sealed {
 		return 0, errSealed
 	}
@@ -225,9 +212,6 @@ func (db *DB) ConsumeStream(r *trace.Reader, sink func()) (int, error) {
 			return n, err
 		}
 		n++
-		if sink != nil {
-			sink()
-		}
 	}
 	db.Corruptions = append(db.Corruptions, r.Corruptions()...)
 	db.BytesSkipped += r.BytesSkipped()
@@ -603,17 +587,6 @@ func (db *DB) keyFor(li *LockInfo, a *Allocation) LockKey {
 func (db *DB) intern(k LockKey) KeyID {
 	if id, ok := db.keyIDs[k]; ok {
 		return id
-	}
-	if db.keyIDsShared || db.keyIDs == nil {
-		// The map is borrowed (Seal shares the live table with the view
-		// during finalization) or was dropped after finalization; build
-		// a private copy from the key slice before the first insert.
-		m := make(map[LockKey]KeyID, len(db.keys)+1)
-		for i, kk := range db.keys {
-			m[kk] = KeyID(i)
-		}
-		db.keyIDs = m
-		db.keyIDsShared = false
 	}
 	id := KeyID(len(db.keys))
 	db.keys = append(db.keys, k)

@@ -34,15 +34,11 @@ func (db *DB) Seal() *DB {
 		Stacks: copyMap(db.Stacks),
 		Allocs: copyMap(db.Allocs),
 
-		// Copy-on-write key tables: the slice is capped so either side's
-		// next append reallocates, and the id map is borrowed from the
-		// live store for the (single-threaded) finalization below —
-		// intern clones it on the first view-side insert, and any
-		// still-borrowed reference is dropped before Seal returns.
-		keys:         db.keys[:len(db.keys):len(db.keys)],
-		keyIDs:       db.keyIDs,
-		keyIDsShared: true,
-		groups:       make(map[GroupKey]*ObsGroup, len(db.groups)),
+		// The key slice is capped so either side's next append
+		// reallocates.
+		keys:    db.keys[:len(db.keys):len(db.keys)],
+		keyIDs:  copyMap(db.keyIDs),
+		groups:  make(map[GroupKey]*ObsGroup, len(db.groups)),
 		subbed:  db.subbed,
 		blFuncs: db.blFuncs,
 		blMembs: db.blMembs,
@@ -86,13 +82,6 @@ func (db *DB) Seal() *DB {
 		for _, pk := range sortedPendKeys(cs.pending, &order) {
 			view.commitObs(cs.held, cs.pending[pk], false)
 		}
-	}
-	if view.keyIDsShared {
-		// Nothing interned a new key into the view: drop the borrowed
-		// map before the live store mutates it again. A later lookup on
-		// the sealed view rebuilds a private map from the key slice.
-		view.keyIDs = nil
-		view.keyIDsShared = false
 	}
 	view.metrics = db.metrics
 	db.gen++

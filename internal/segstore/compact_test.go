@@ -58,7 +58,6 @@ func appendViews(t testing.TB, raw []byte, headBlocks, appends int) ([]*db.DB, [
 	ctx := context.Background()
 	head, tail := splitAtSync(t, raw, headBlocks)
 	sd := core.NewStreamDeriver(db.New(db.Config{}), core.Options{AcceptThreshold: core.DefaultAcceptThreshold})
-	defer sd.Close()
 	r, err := trace.NewReader(bytes.NewReader(head))
 	if err != nil {
 		t.Fatal(err)

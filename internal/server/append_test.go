@@ -220,10 +220,10 @@ func TestAppendHandlerModes(t *testing.T) {
 // TestAppendRetainsRuleCache is the regression test for the wholesale
 // cache flush: an append must keep the per-group results of untouched
 // groups, so the next derivation re-mines only what the append dirtied —
-// and an identical repeat query is a clean cache hit again. The fused
-// ingest pipeline pre-mines the default options on every load and
-// append, so the derive-path assertions ride a non-default key where
-// the per-entry delta deriver still runs.
+// and an identical repeat query is a clean cache hit again. Every load
+// and append pre-mines the default options, so the derive-path
+// assertions ride a non-default key where the per-entry delta deriver
+// still runs.
 func TestAppendRetainsRuleCache(t *testing.T) {
 	s := newLoadedServer(t)
 	sh := discoverClockShape(t, clockTraceBytes(t))
@@ -251,7 +251,7 @@ func TestAppendRetainsRuleCache(t *testing.T) {
 			resp.Premined, total-resp.DirtyGroups)
 	}
 
-	// The append's fused derivation covers the new generation for the
+	// The append's own derivation covers the new generation for the
 	// default options: still a hit, still no server-side derive.
 	hitsBefore := s.m.cacheHits.Value()
 	do(t, s, "GET", "/v1/rules", nil)

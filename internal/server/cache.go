@@ -66,12 +66,13 @@ func (c *ruleCache) entry(key string) *cacheEntry {
 }
 
 // adopt publishes an externally computed result set into the options
-// key's entry — the fused ingest pipeline derives the default-options
-// rules as part of publishing a snapshot, so the next query for them
-// is a hit instead of a re-derivation. Only the results are adopted,
-// never the pipeline's DeltaDeriver: sharing it would let background
-// speculation race the entry's own deriver under e.mu. An entry that
-// already holds state for a newer generation is left alone.
+// key's entry — each load, append or replay derives the
+// default-options rules as part of publishing a snapshot, so the next
+// query for them is a hit instead of a re-derivation. Only the results
+// are adopted, never the namespace's StreamDeriver, which belongs to
+// the ingest path under ns.mu; an entry that needs a delta deriver
+// builds its own. An entry that already holds state for a newer
+// generation is left alone.
 func (c *ruleCache) adopt(key string, results []core.Result, gen, epoch uint64) {
 	e := c.entry(key)
 	e.mu.Lock()

@@ -26,7 +26,7 @@ type serverMetrics struct {
 	groupsDirtied  *obs.Counter // observation groups appends touched
 	groupsRemined  *obs.Counter // groups delta derivations re-mined
 	groupsReused   *obs.Counter // groups answered from per-group caches
-	groupsPremined *obs.Counter // groups pre-mined by the fused pipeline before publish
+	groupsPremined *obs.Counter // groups an append reused from an earlier pass's rules
 
 	// Request-level observability.
 	inflight *obs.Gauge                // requests currently being served
@@ -83,7 +83,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		groupsDirtied:  reg.Counter("lockdocd_groups_dirtied_total", "Observation groups touched by appends."),
 		groupsRemined:  reg.Counter("lockdocd_groups_remined_total", "Observation groups re-mined by delta derivations."),
 		groupsReused:   reg.Counter("lockdocd_groups_reused_total", "Observation groups answered from per-group derivation caches."),
-		groupsPremined: reg.Counter("lockdocd_groups_premined_total", "Observation groups whose rules were pre-mined by the fused ingest pipeline before snapshot publish."),
+		groupsPremined: reg.Counter("lockdocd_groups_premined_total", "Observation groups whose default-options rules an append reused, pre-mined by an earlier load or append pass, instead of re-mining them."),
 
 		inflight: reg.Gauge("lockdocd_inflight_requests", "Requests currently being served."),
 		latency:  make(map[string]*obs.Histogram, len(latencyEndpoints)),

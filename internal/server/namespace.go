@@ -1,6 +1,6 @@
 // Per-namespace serving state. Every tenant owns the full single-
 // server machinery of the pre-namespace design: an appendable live
-// store wrapped in a fused StreamDeriver, a published immutable
+// store wrapped in a StreamDeriver, a published immutable
 // Snapshot, an options-keyed derivation cache, its own generation and
 // epoch counters, and (when configured) its own segment-store
 // subdirectory. The Server holds these in the sharded
@@ -127,17 +127,7 @@ func (ns *namespace) loadTrace(r io.Reader, source string) (*Snapshot, error) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	live := db.New(s.importConfig())
-	// Fused ingest→derive: speculative snapshots mine in the background
-	// while later sync blocks decode, and the definitive pass below
-	// prices in only what speculation missed. The results are
-	// byte-identical to a phased consume+seal+derive.
 	sd := core.NewStreamDeriver(live, s.streamOptions())
-	adopted := false
-	defer func() {
-		if !adopted {
-			sd.Close()
-		}
-	}()
 	if _, err := sd.Consume(tr); err != nil {
 		return nil, fmt.Errorf("server: importing %s: %w", source, err)
 	}
@@ -180,10 +170,9 @@ func (ns *namespace) loadTrace(r io.Reader, source string) (*Snapshot, error) {
 	ns.dropLiveLocked()
 	ns.live = live
 	ns.sd = sd
-	adopted = true
 	ns.snap.Store(snap)
 	ns.cache.reset()
-	// The definitive pass already derived the default-options rules;
+	// The load's pass already derived the default-options rules;
 	// seed the query cache so the first /v1/rules request is a hit.
 	ns.cache.adopt(sd.Options().Key(), results, snap.Gen, snap.Epoch)
 	s.settleResident(ns, counted.n-tr.HeaderLen())
@@ -283,7 +272,7 @@ func (ns *namespace) appendTrace(r io.Reader, source string) (*Snapshot, AppendS
 	stats.Dirty = view.DirtyGroupsSince(prev)
 	stats.Premined = sstats.Delta.Reused
 	ns.snap.Store(snap)
-	// The definitive pass of this append already holds the
+	// The derivation pass of this append already holds the
 	// default-options rules; publishing them into the query cache makes
 	// the post-append /v1/rules refresh a pure cache hit.
 	ns.cache.adopt(ns.sd.Options().Key(), results, snap.Gen, snap.Epoch)
@@ -312,13 +301,11 @@ func (ns *namespace) compact(view *db.DB) {
 }
 
 // replayLocked rebuilds the appendable live store from the store's
-// committed trace chain through the fused pipeline (segment decode and
-// rule mining overlap, so replay pays max(decode, mine) rather than
-// their sum) and adopts it as the namespace's live store. It returns
-// the sealed view and its default-options rules, and charges the raw
-// bytes it replayed — the same bytes the live store holds whether it
-// was built by uploads or by this replay. Publishing is the caller's
-// job. Caller holds ns.mu.
+// committed trace chain through a fresh StreamDeriver and adopts it as
+// the namespace's live store. It returns the sealed view and its
+// default-options rules, and charges the raw bytes it replayed — the
+// same bytes the live store holds whether it was built by uploads or
+// by this replay. Publishing is the caller's job. Caller holds ns.mu.
 func (ns *namespace) replayLocked() (*db.DB, []core.Result, error) {
 	s := ns.srv
 	// The live store built here is what new commits extend, so the
@@ -333,16 +320,13 @@ func (ns *namespace) replayLocked() (*db.DB, []core.Result, error) {
 	live := db.New(s.importConfig())
 	sd := core.NewStreamDeriver(live, s.streamOptions())
 	if _, err := sd.Consume(tr); err != nil {
-		sd.Close()
 		return nil, nil, fmt.Errorf("server: replaying store trace: %w", err)
 	}
 	view, results, _, err := sd.Derive(s.stopCtx)
 	if err != nil {
-		sd.Close()
 		return nil, nil, fmt.Errorf("server: deriving store trace: %w", err)
 	}
 	if view.RawAccesses == 0 && len(view.Groups()) == 0 {
-		sd.Close()
 		return nil, nil, fmt.Errorf("server: store trace contains no decodable observations%s",
 			degradedSuffix(view))
 	}
@@ -355,9 +339,6 @@ func (ns *namespace) replayLocked() (*db.DB, []core.Result, error) {
 // dropLiveLocked releases the appendable live store and its deriver.
 // Caller holds ns.mu.
 func (ns *namespace) dropLiveLocked() {
-	if ns.sd != nil {
-		ns.sd.Close()
-	}
 	ns.live, ns.sd = nil, nil
 }
 

@@ -187,7 +187,7 @@ type Snapshot struct {
 type AppendStats struct {
 	Events   int           // events decoded and merged
 	Dirty    int           // observation groups the append touched
-	Premined int           // groups answered from speculative pre-mining
+	Premined int           // groups whose rules an earlier load or append pass pre-mined
 	Elapsed  time.Duration // consume + seal + checks + publish
 }
 
@@ -256,10 +256,11 @@ type Server struct {
 	testDeriveEnter func(context.Context) error
 }
 
-// streamOptions are the derivation options of the fused pipeline. They
-// match the default rules request (core.Options.Key ignores
-// Parallelism and Metrics), so the results of each publish's definitive
-// pass are adopted straight into that query's cache entry.
+// streamOptions are the derivation options of the ingest path's
+// StreamDeriver. They match the default rules request
+// (core.Options.Key ignores Parallelism and Metrics), so the results of
+// each publish's pass are adopted straight into that query's cache
+// entry.
 func (s *Server) streamOptions() core.Options {
 	return core.Options{
 		AcceptThreshold: core.DefaultAcceptThreshold,

@@ -167,9 +167,9 @@ func TestDocGolden(t *testing.T) {
 }
 
 // TestCacheMemoization asserts queries are served from the LRU — the
-// daemon's raison d'être. The fused ingest pipeline pre-mines the
-// default options while loading, so even the FIRST default-options
-// query is a hit; distinct options still miss and derive on demand.
+// daemon's raison d'être. The load pre-mines the default options, so
+// even the FIRST default-options query is a hit; distinct options
+// still miss and derive on demand.
 func TestCacheMemoization(t *testing.T) {
 	s := newLoadedServer(t)
 	read := func() (hits, misses, derives uint64) {

@@ -743,9 +743,9 @@ func (r *Reader) readBlockBody() error {
 
 // Blocks returns the number of v2 sync blocks whose payload has been
 // read and CRC-verified so far (0 for v1 traces, which have no
-// blocks). Consumers that act on verified-block granularity — the
-// streaming deriver seals speculative snapshots only at block
-// boundaries — watch this advance between events.
+// blocks). Consumers that act on verified-block granularity watch it
+// advance between events; together with LastBlockEnd it locates each
+// block boundary in the stream.
 func (r *Reader) Blocks() uint64 { return r.blocks }
 
 // LastBlockEnd returns the stream offset just past the most recent v2
