@@ -6,6 +6,9 @@
 #                        derivation benchmarks at the repo root)
 #   BENCH_segstore.json  the Segstore* benchmarks (state compaction,
 #                        and store reopen vs trace re-import)
+#   BENCH_ingest.json    trace ingest: BenchmarkImport (decode plus
+#                        import) and BenchmarkSec72TraceStats (decode
+#                        alone)
 #
 # Each file stores the raw benchmark lines in benchstat-friendly form
 # next to machine metadata.
@@ -70,3 +73,4 @@ pin() {
 
 pin BENCH_derive.json Derive . ./internal/core/
 pin BENCH_segstore.json Segstore .
+pin BENCH_ingest.json 'BenchmarkImport$|BenchmarkSec72TraceStats$' .
