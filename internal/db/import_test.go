@@ -451,3 +451,93 @@ func TestSeqStringEmpty(t *testing.T) {
 		t.Errorf("SeqString(nil) = %q", got)
 	}
 }
+
+// groupContexts returns every context count of one group, over all of
+// its sequences.
+func groupContexts(t *testing.T, d *DB, member string, write bool) map[AccessCtx]uint64 {
+	t.Helper()
+	g, ok := d.Group("obj", "", member, write)
+	if !ok {
+		t.Fatalf("no %s group (write=%v)", member, write)
+	}
+	out := make(map[AccessCtx]uint64)
+	for _, so := range g.Seqs {
+		for c, n := range so.Contexts {
+			out[c] += n
+		}
+	}
+	return out
+}
+
+// TestRecycledPendingObservation: a flushed transaction's pending
+// observation is reused by the next one, and must not carry its old
+// counts along. T1 reads m from context X and ends at a lock
+// acquisition; T2 then writes m from Y. The write group (write-over-
+// read merges a transaction's reads into it) must see Y alone, whether
+// it is sealed mid-transaction or flushed at the end.
+func TestRecycledPendingObservation(t *testing.T) {
+	f := newFeeder(t, Config{})
+	f.defType(1, "obj", trace.MemberDef{Name: "m", Offset: 0, Size: 8})
+	f.defLock(1, "l", trace.LockSpin, 0x100, 0)
+	f.alloc(1, 1, 1, 0x1000, 8, "")
+	x := AccessCtx{FuncID: 1, StackID: 1}
+	y := AccessCtx{FuncID: 2, StackID: 2}
+
+	f.read(1, 0x1000, x.FuncID, x.StackID) // T1
+	f.acquire(1, 1)
+	f.db.Seal()                             // between T1 and T2
+	f.write(1, 0x1000, y.FuncID, y.StackID) // T2
+	mid := f.db.Seal()
+	f.release(1, 1)
+	f.db.Flush()
+
+	for name, d := range map[string]*DB{"mid-T2 view": mid, "flushed": f.db} {
+		if got := groupContexts(t, d, "m", true); len(got) != 1 || got[y] != 1 {
+			t.Errorf("%s: write group contexts = %v, want only %v once", name, got, y)
+		}
+		if got := groupContexts(t, d, "m", false); len(got) != 1 || got[x] != 1 {
+			t.Errorf("%s: read group contexts = %v, want only %v once", name, got, x)
+		}
+		g, _ := d.Group("obj", "", "m", true)
+		if g.Total != 1 || g.EventSum != 1 {
+			t.Errorf("%s: write group total %d events %d, want 1 and 1", name, g.Total, g.EventSum)
+		}
+	}
+}
+
+// TestHeldKeyMemoSplitsESAndEO: one held embedded lock maps to ES for
+// accesses to its owner and to EO for accesses to any other object of
+// the type, even within one transaction. The held lock's memoized key
+// ID must keep the two apart, and the mid-transaction seal, whose key
+// IDs are private to the view, must not write it.
+func TestHeldKeyMemoSplitsESAndEO(t *testing.T) {
+	f := newFeeder(t, Config{})
+	f.defType(1, "obj",
+		trace.MemberDef{Name: "m", Offset: 0, Size: 8},
+		trace.MemberDef{Name: "lock", Offset: 8, Size: 8, IsLock: true})
+	f.alloc(1, 1, 1, 0x1000, 16, "")
+	f.alloc(1, 2, 1, 0x2000, 16, "")
+	f.defLock(1, "lock", trace.LockSpin, 0x1008, 0x1000)
+
+	f.acquire(1, 1)
+	f.write(1, 0x1000, 1, 0) // the lock's owner
+	f.write(1, 0x2000, 1, 0) // another obj
+	mid := f.db.Seal()
+	f.release(1, 1)
+	f.db.Flush()
+
+	for name, d := range map[string]*DB{"mid-transaction view": mid, "flushed": f.db} {
+		g, ok := d.Group("obj", "", "m", true)
+		if !ok {
+			t.Fatalf("%s: no write group", name)
+		}
+		got := make(map[string]uint64)
+		for _, so := range g.Seqs {
+			got[d.SeqString(so.Seq)] += so.Count
+		}
+		want := map[string]uint64{"ES(lock in obj)": 1, "EO(lock in obj)": 1}
+		if len(got) != len(want) || got["ES(lock in obj)"] != 1 || got["EO(lock in obj)"] != 1 {
+			t.Errorf("%s: sequences = %v, want %v", name, got, want)
+		}
+	}
+}

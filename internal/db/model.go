@@ -106,12 +106,17 @@ func (s LockSeq) Signature() string {
 	if len(s) == 0 {
 		return ""
 	}
-	b := make([]byte, 0, len(s)*4)
+	return string(s.appendSignature(make([]byte, 0, len(s)*4)))
+}
+
+// appendSignature appends Signature()'s bytes to b, so import can look
+// a sequence up without allocating.
+func (s LockSeq) appendSignature(b []byte) []byte {
 	for _, id := range s {
 		b = strconv.AppendUint(b, uint64(id), 10)
 		b = append(b, ',')
 	}
-	return string(b)
+	return b
 }
 
 // DataType mirrors the trace type definition plus lookup helpers.
@@ -120,6 +125,14 @@ type DataType struct {
 	Name     string
 	Members  []trace.MemberDef
 	byOffset map[uint32]int
+
+	// Import filters resolved once when the type is defined: dropped[i]
+	// reports whether the member filters drop accesses to member i
+	// (atomic, lock or black-listed), subbed whether observations split
+	// by allocation subclass. Unset on a store decoded from a state
+	// snapshot, which never imports.
+	dropped []bool
+	subbed  bool
 }
 
 // MemberAt resolves a byte offset to a member index.

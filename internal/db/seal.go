@@ -67,21 +67,18 @@ func (db *DB) Seal() *DB {
 	}
 	// Finalize the open transactions on the view only, in exactly the
 	// order Flush would use, so the view equals batch-import output.
-	// commitObs interns any new lock keys into the view's private key
-	// tables and copy-on-write clones the shared groups it touches, so
-	// the live store sees none of it; non-destructive mode leaves the
-	// pending observations for the live store's own eventual flush.
+	// This is the same fold Flush runs. It interns any new lock keys
+	// into the view's private key tables and copy-on-write clones the
+	// shared groups it touches, so the live store sees none of it, and
+	// it leaves the pending observations for the live store's own
+	// eventual flush.
 	for _, id := range sortedCtxIDs(db.ctxState) {
 		cs := db.ctxState[id]
-		if len(cs.pending) == 0 {
+		if len(cs.order) == 0 {
 			continue
 		}
 		view.OpenAtEOF++
-		view.Transactions++
-		var order []pendKey
-		for _, pk := range sortedPendKeys(cs.pending, &order) {
-			view.commitObs(cs.held, cs.pending[pk], false)
-		}
+		view.fold(cs)
 	}
 	view.metrics = db.metrics
 	db.gen++
