@@ -16,8 +16,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -31,6 +34,7 @@ import (
 	"lockdoc/internal/relation"
 	"lockdoc/internal/report"
 	"lockdoc/internal/segstore"
+	"lockdoc/internal/server"
 	"lockdoc/internal/trace"
 	"lockdoc/internal/workload"
 )
@@ -820,6 +824,7 @@ func TestDeriveScalingSmoke(t *testing.T) {
 // sum_k P(8,k) = 109,600 candidate hypotheses.
 var (
 	deepOnce sync.Once
+	deepRaw  []byte
 	deepDB   *db.DB
 )
 
@@ -885,7 +890,8 @@ func deepFixture(b *testing.B) *db.DB {
 		if err := w.Flush(); err != nil {
 			panic(err)
 		}
-		deepDB = importTrace(buf.Bytes(), db.Config{})
+		deepRaw = buf.Bytes()
+		deepDB = importTrace(deepRaw, db.Config{})
 	})
 	return deepDB
 }
@@ -911,6 +917,32 @@ func BenchmarkDeriveDeepNesting(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDeriveServeTacMiss measures one lockdocd /v1/rules?tac=
+// request that misses the rule cache on a loaded generation of the
+// deep-nesting fixture: every iteration asks for a threshold not asked
+// for before, through the real handler stack (routing, derivation
+// cache, rendering). The load itself, which mines the default options,
+// is outside the timer.
+func BenchmarkDeriveServeTacMiss(b *testing.B) {
+	deepFixture(b)
+	s := server.New(server.Config{Import: &db.Config{}})
+	if _, err := s.LoadTrace(bytes.NewReader(deepRaw), "deep"); err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tac := 0.5 + 0.0001*float64(i%4000)
+		req := httptest.NewRequest("GET", "/v1/rules?tac="+strconv.FormatFloat(tac, 'f', 4, 64), nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
 	}
 }
 
