@@ -93,7 +93,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 				label, res.Group.MemberName(), res.Group.AccessType(),
 				d.SeqString(res.Winner.Seq), res.Winner.Sa, res.Winner.Sr)
 			if *hypotheses {
-				for _, h := range res.Hypotheses {
+				fmt.Fprintf(stdout, "    winner: %s\n", res.Reason)
+				for _, h := range core.Ranked(res.Hypotheses) {
 					fmt.Fprintf(stdout, "    %-72s sa=%-7d sr=%.4f\n", d.SeqString(h.Seq), h.Sa, h.Sr)
 				}
 			}

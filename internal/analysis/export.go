@@ -25,7 +25,9 @@ type RuleJSON struct {
 	Sa       uint64  `json:"sa"`
 	Sr       float64 `json:"sr"`
 	Total    uint64  `json:"observations"`
-	// Hypotheses carries the full candidate list when requested.
+	// Reason and Hypotheses are set only when hypotheses are
+	// requested: why the rule won, and every candidate in report order.
+	Reason     string           `json:"reason,omitempty"`
 	Hypotheses []HypothesisJSON `json:"hypotheses,omitempty"`
 }
 
@@ -37,7 +39,8 @@ type HypothesisJSON struct {
 }
 
 // WriteRulesJSON emits the derivation results as a JSON array. With
-// includeHypotheses, every candidate is embedded per rule.
+// includeHypotheses, every candidate is embedded per rule in report
+// order (core.Ranked), with the reason the winner won.
 func WriteRulesJSON(w io.Writer, d *db.DB, results []core.Result, includeHypotheses bool) error {
 	out := make([]RuleJSON, 0, len(results))
 	for _, res := range results {
@@ -55,7 +58,8 @@ func WriteRulesJSON(w io.Writer, d *db.DB, results []core.Result, includeHypothe
 			Total:    res.Total,
 		}
 		if includeHypotheses {
-			for _, h := range res.Hypotheses {
+			rj.Reason = res.Reason.String()
+			for _, h := range core.Ranked(res.Hypotheses) {
 				rj.Hypotheses = append(rj.Hypotheses, HypothesisJSON{
 					Rule: d.SeqString(h.Seq), Sa: h.Sa, Sr: h.Sr,
 				})

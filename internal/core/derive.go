@@ -30,7 +30,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"lockdoc/internal/db"
 )
@@ -51,17 +50,24 @@ func (h *Hypothesis) NoLock() bool { return len(h.Seq) == 0 }
 
 // Result of deriving rules for one observation group.
 type Result struct {
-	Group      *db.ObsGroup
-	Total      uint64 // folded observations (the s_r denominator)
+	Group *db.ObsGroup
+	Total uint64 // folded observations (the s_r denominator)
+	// Hypotheses is the group's mined table after the reporting
+	// cut-off, in unspecified order: it follows the miner's walk, and
+	// results selected from one cached table share it. Ranked returns
+	// the report order; treat the slice as read-only.
 	Hypotheses []Hypothesis
 	// Winner points into Hypotheses; it is never nil for Total > 0
 	// because the "no lock" hypothesis always clears the threshold.
 	Winner *Hypothesis
+	// Reason records why Winner won.
+	Reason Reason
 }
 
-// Derive enumerates and ranks locking-rule hypotheses for group g
-// using the trie-based mining engine (see miner.go); results are
-// identical to the reference enumerator kept in deriveReference.
+// Derive enumerates locking-rule hypotheses for group g using the
+// trie-based mining engine (see miner.go) and selects the winner;
+// results are identical to the reference enumerator kept in
+// deriveReference, up to hypothesis order.
 //
 // A single group is the unit of cancellation: Derive checks ctx once on
 // entry and returns a zero Result (Group set, no hypotheses) if it is
@@ -108,7 +114,8 @@ func deriveReference(d *db.DB, g *db.ObsGroup, opt Options) Result {
 	if g.Total == 0 {
 		return res
 	}
-	finish(&res, referenceCandidates(g, opt), opt)
+	hyps := referenceCandidates(g, opt)
+	choose(&res, hyps[:0], hyps, opt)
 	return res
 }
 
@@ -139,98 +146,6 @@ func referenceCandidates(g *db.ObsGroup, opt Options) []Hypothesis {
 		})
 	}
 	return hyps
-}
-
-// finish is the common derivation tail: order the candidates, select
-// the winner, apply the reporting cut-off.
-func finish(res *Result, hyps []Hypothesis, opt Options) {
-	// Stable report order: by Sa descending, then fewer locks, then
-	// lexicographic signature.
-	sort.Slice(hyps, func(i, j int) bool {
-		a, b := &hyps[i], &hyps[j]
-		if a.Sa != b.Sa {
-			return a.Sa > b.Sa
-		}
-		if len(a.Seq) != len(b.Seq) {
-			return len(a.Seq) < len(b.Seq)
-		}
-		return compareSeqSig(a.Seq, b.Seq) < 0
-	})
-
-	res.Winner = selectWinner(hyps, opt)
-
-	// Apply the reporting cut-off after winner selection.
-	if opt.CutoffThreshold > 0 {
-		kept := hyps[:0]
-		for _, h := range hyps {
-			if h.Sr >= opt.CutoffThreshold || (res.Winner != nil && sameSeq(h.Seq, res.Winner.Seq)) {
-				kept = append(kept, h)
-			}
-		}
-		hyps = kept
-	}
-	res.Hypotheses = hyps
-	// Re-point the winner into the retained slice.
-	if res.Winner != nil {
-		for i := range hyps {
-			if sameSeq(hyps[i].Seq, res.Winner.Seq) {
-				res.Winner = &hyps[i]
-				break
-			}
-		}
-	}
-}
-
-// selectWinner implements the paper's selection strategy (or the naive
-// baseline): hyps must be sorted by Sa descending.
-func selectWinner(hyps []Hypothesis, opt Options) *Hypothesis {
-	tac := opt.accept()
-	if opt.Naive {
-		// Naive: highest support among hypotheses with locks, if any
-		// clears the threshold; "no lock" otherwise.
-		var best *Hypothesis
-		for i := range hyps {
-			h := &hyps[i]
-			if h.NoLock() || h.Sr < tac {
-				continue
-			}
-			if best == nil || h.Sa > best.Sa ||
-				(h.Sa == best.Sa && len(h.Seq) < len(best.Seq)) {
-				best = h
-			}
-		}
-		if best != nil {
-			return best
-		}
-		for i := range hyps {
-			if hyps[i].NoLock() {
-				return &hyps[i]
-			}
-		}
-		return nil
-	}
-
-	// LockDoc: all hypotheses above t_ac are assumed related; pick the
-	// one with the lowest support, breaking ties toward more locks.
-	var win *Hypothesis
-	for i := range hyps {
-		h := &hyps[i]
-		if h.Sr < tac {
-			continue
-		}
-		switch {
-		case win == nil:
-			win = h
-		case h.Sa < win.Sa:
-			win = h
-		case h.Sa == win.Sa && len(h.Seq) > len(win.Seq):
-			win = h
-		case h.Sa == win.Sa && len(h.Seq) == len(win.Seq) &&
-			compareSeqSig(h.Seq, win.Seq) < 0:
-			win = h // deterministic tie-break
-		}
-	}
-	return win
 }
 
 // enumerate adds every permutation of every subset of seq to out.

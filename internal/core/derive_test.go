@@ -338,9 +338,10 @@ func TestDeriveDeterministic(t *testing.T) {
 		if len(first.Hypotheses) != len(again.Hypotheses) {
 			t.Fatal("hypothesis count not deterministic")
 		}
-		for j := range first.Hypotheses {
-			if !sameSeq(first.Hypotheses[j].Seq, again.Hypotheses[j].Seq) {
-				t.Fatal("hypothesis order not deterministic")
+		fr, ar := Ranked(first.Hypotheses), Ranked(again.Hypotheses)
+		for j := range fr {
+			if !sameSeq(fr[j].Seq, ar[j].Seq) {
+				t.Fatal("report order not deterministic")
 			}
 		}
 	}

@@ -167,14 +167,15 @@ func replayIncremental(tb testing.TB, chunks [][]byte, opt Options) (*db.DB, []R
 	return view, results, stats
 }
 
-// winnerIndex locates Result.Winner inside Result.Hypotheses so winners
-// can be compared across stores without comparing pointers.
-func winnerIndex(r *Result) int {
+// winnerRank locates Result.Winner in the report order of its
+// hypotheses, so winners can be compared across stores without
+// comparing pointers.
+func winnerRank(r *Result, ranked []*Hypothesis) int {
 	if r.Winner == nil {
 		return -1
 	}
-	for j := range r.Hypotheses {
-		if &r.Hypotheses[j] == r.Winner {
+	for j, h := range ranked {
+		if h == r.Winner {
 			return j
 		}
 	}
@@ -182,9 +183,9 @@ func winnerIndex(r *Result) int {
 }
 
 // assertSameDerivation compares two derivation outputs that come from
-// different stores, field by field. Sr is compared with ==: the
-// incremental path must reproduce the batch division bit for bit, not
-// approximately.
+// different stores, field by field, hypotheses in report order
+// (Ranked). Sr is compared with ==: the incremental path must
+// reproduce the batch division bit for bit, not approximately.
 func assertSameDerivation(tb testing.TB, label string, wantDB *db.DB, want []Result, gotDB *db.DB, got []Result) {
 	tb.Helper()
 	if len(got) != len(want) {
@@ -204,8 +205,9 @@ func assertSameDerivation(tb testing.TB, label string, wantDB *db.DB, want []Res
 		if len(g.Hypotheses) != len(w.Hypotheses) {
 			tb.Fatalf("%s: %d hypotheses, want %d", id, len(g.Hypotheses), len(w.Hypotheses))
 		}
-		for j := range w.Hypotheses {
-			hw, hg := &w.Hypotheses[j], &g.Hypotheses[j]
+		wr, gr := Ranked(w.Hypotheses), Ranked(g.Hypotheses)
+		for j := range wr {
+			hw, hg := wr[j], gr[j]
 			if hg.Sa != hw.Sa || hg.Sr != hw.Sr {
 				tb.Fatalf("%s: hypothesis %d: sa=%d sr=%v, want sa=%d sr=%v", id, j, hg.Sa, hg.Sr, hw.Sa, hw.Sr)
 			}
@@ -218,8 +220,11 @@ func assertSameDerivation(tb testing.TB, label string, wantDB *db.DB, want []Res
 				tb.Fatalf("%s: hypothesis %d: signature %q, want %q (interning order diverged)", id, j, gs, ws)
 			}
 		}
-		if wi, gi := winnerIndex(w), winnerIndex(g); gi != wi {
-			tb.Fatalf("%s: winner index %d, want %d", id, gi, wi)
+		if wi, gi := winnerRank(w, wr), winnerRank(g, gr); gi != wi {
+			tb.Fatalf("%s: winner rank %d, want %d", id, gi, wi)
+		}
+		if g.Reason != w.Reason {
+			tb.Fatalf("%s: reason %v, want %v", id, g.Reason, w.Reason)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 
 	"lockdoc/internal/db"
@@ -67,7 +66,7 @@ type miner struct {
 	maxLen int
 	total  float64
 	prune  bool
-	bound  float64 // min(t_ac, t_co), valid when prune
+	bound  float64 // Options.Floor: min(t_ac, t_co), valid when prune
 }
 
 // minerNode is one materialized trie node. The candidate sequence is
@@ -107,7 +106,7 @@ func (m *miner) derive(g *db.ObsGroup, opt Options) Result {
 	if !ok {
 		hyps = referenceCandidates(g, opt)
 	}
-	finish(&res, hyps, opt)
+	choose(&res, hyps[:0], hyps, opt)
 	return res
 }
 
@@ -132,9 +131,7 @@ func (m *miner) mine(g *db.ObsGroup, opt Options) ([]Hypothesis, bool) {
 	}
 	m.total = float64(g.Total)
 	m.prune = opt.CutoffThreshold > 0
-	if m.prune {
-		m.bound = math.Min(opt.accept(), opt.CutoffThreshold)
-	}
+	m.bound = opt.Floor()
 
 	// Root: the "no lock needed" hypothesis; every observation
 	// trivially complies.

@@ -232,10 +232,11 @@ func FuzzDeriveEquivalence(f *testing.F) {
 		if len(want.Hypotheses) != len(got.Hypotheses) {
 			t.Fatalf("hypothesis count: reference %d, miner %d", len(want.Hypotheses), len(got.Hypotheses))
 		}
-		for i := range want.Hypotheses {
-			a, b := want.Hypotheses[i], got.Hypotheses[i]
+		wr, gr := Ranked(want.Hypotheses), Ranked(got.Hypotheses)
+		for i := range wr {
+			a, b := wr[i], gr[i]
 			if a.Sa != b.Sa || a.Sr != b.Sr || !sameSeq(a.Seq, b.Seq) {
-				t.Fatalf("hypothesis %d differs: reference %+v, miner %+v", i, a, b)
+				t.Fatalf("hypothesis %d differs: reference %+v, miner %+v", i, *a, *b)
 			}
 		}
 		switch {
@@ -244,6 +245,8 @@ func FuzzDeriveEquivalence(f *testing.F) {
 		case want.Winner != nil &&
 			(want.Winner.Sa != got.Winner.Sa || !sameSeq(want.Winner.Seq, got.Winner.Seq)):
 			t.Fatalf("winners differ: reference %+v, miner %+v", *want.Winner, *got.Winner)
+		case want.Reason != got.Reason:
+			t.Fatalf("reasons differ: reference %v, miner %v", want.Reason, got.Reason)
 		}
 	})
 }

@@ -40,6 +40,30 @@ func (o Options) accept() float64 {
 	return o.AcceptThreshold
 }
 
+// Floor is the prune floor of a derivation: min(t_ac, t_co) when a
+// reporting cut-off is set, else 0. A hypothesis below it can neither
+// win nor be reported, and neither can any extension of it, so the
+// miner skips those subtrees. A table mined at floor p therefore holds
+// every hypothesis that a selection with Floor() >= p can win or keep.
+func (o Options) Floor() float64 {
+	if o.CutoffThreshold <= 0 {
+		return 0
+	}
+	return min(o.accept(), o.CutoffThreshold)
+}
+
+// TableOptions returns the options that mine the hypothesis table o
+// selects from: o's MaxLocks, pruned at o.Floor(), with every
+// hypothesis at or above the floor kept. Select(res, o) on a result
+// derived with them equals deriving with o.
+func (o Options) TableOptions() Options {
+	t := Options{MaxLocks: o.MaxLocks, Parallelism: o.Parallelism, Metrics: o.Metrics}
+	if f := o.Floor(); f > 0 {
+		t.AcceptThreshold, t.CutoffThreshold = f, f
+	}
+	return t
+}
+
 func (o Options) workers() int {
 	if o.Parallelism > 0 {
 		return o.Parallelism

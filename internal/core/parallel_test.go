@@ -92,8 +92,20 @@ func goldenDBs(t testing.TB) map[string]*db.DB {
 	return out
 }
 
+// rankedHyps returns hyps by value in report order. Mining order is
+// unspecified, so result comparisons go through Ranked, the ranking
+// every renderer uses.
+func rankedHyps(hyps []Hypothesis) []Hypothesis {
+	out := make([]Hypothesis, 0, len(hyps))
+	for _, h := range Ranked(hyps) {
+		out = append(out, *h)
+	}
+	return out
+}
+
 // sameResults performs a field-by-field equality check between two
-// derivation result sets, including the winner identity.
+// derivation result sets, hypotheses in report order, including the
+// winner identity and the reason it won.
 func sameResults(t *testing.T, label string, seq, par []Result) {
 	t.Helper()
 	if len(seq) != len(par) {
@@ -107,14 +119,16 @@ func sameResults(t *testing.T, label string, seq, par []Result) {
 		if a.Total != b.Total {
 			t.Fatalf("%s[%d]: totals %d vs %d", label, i, a.Total, b.Total)
 		}
-		if !reflect.DeepEqual(a.Hypotheses, b.Hypotheses) {
-			t.Fatalf("%s[%d]: hypothesis lists differ:\n%v\n%v", label, i, a.Hypotheses, b.Hypotheses)
+		if ra, rb := rankedHyps(a.Hypotheses), rankedHyps(b.Hypotheses); !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("%s[%d]: hypothesis lists differ:\n%v\n%v", label, i, ra, rb)
 		}
 		switch {
 		case (a.Winner == nil) != (b.Winner == nil):
 			t.Fatalf("%s[%d]: winner nil-ness differs", label, i)
 		case a.Winner != nil && !reflect.DeepEqual(*a.Winner, *b.Winner):
 			t.Fatalf("%s[%d]: winners differ: %v vs %v", label, i, *a.Winner, *b.Winner)
+		case a.Reason != b.Reason:
+			t.Fatalf("%s[%d]: reasons differ: %v vs %v", label, i, a.Reason, b.Reason)
 		}
 	}
 }
