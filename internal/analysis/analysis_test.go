@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -269,6 +270,17 @@ func TestNoLockFractionSweep(t *testing.T) {
 	}
 	if last != 50 {
 		t.Errorf("t_ac=1.0: inode w no-lock = %f, want 50", last)
+	}
+	// The sweep mines once and selects per threshold; every point must
+	// equal a full derivation at its threshold.
+	for _, p := range points {
+		want, err := NoLockFraction(context.Background(), d, p.Threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p.Fractions, want) {
+			t.Errorf("t_ac=%.1f: sweep %v, full derivation %v", p.Threshold, p.Fractions, want)
+		}
 	}
 }
 

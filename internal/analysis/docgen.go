@@ -65,6 +65,11 @@ func NoLockFraction(ctx context.Context, d *db.DB, tac float64) (map[string]map[
 	if err != nil {
 		return nil, err
 	}
+	return noLockFractions(results), nil
+}
+
+// noLockFractions tallies the "no lock" winners of one selection.
+func noLockFractions(results []core.Result) map[string]map[string]float64 {
 	type counts struct{ noLock, total int }
 	acc := make(map[string]map[string]*counts)
 	for _, res := range results {
@@ -91,7 +96,7 @@ func NoLockFraction(ctx context.Context, d *db.DB, tac float64) (map[string]map[
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // SweepPoint is one sample of the Fig. 7 threshold sweep.
@@ -103,10 +108,17 @@ type SweepPoint struct {
 }
 
 // ThresholdSweep evaluates NoLockFraction over a range of acceptance
-// thresholds (Fig. 7 uses 0.70..1.00). Cancelling ctx stops the sweep
-// at the next group boundary of the derivation in flight.
+// thresholds (Fig. 7 uses 0.70..1.00). The supports do not depend on
+// t_ac, so it mines every group's table once and selects the winners
+// per threshold (core.Select). Cancelling ctx stops the mining at the
+// next group boundary.
 func ThresholdSweep(ctx context.Context, d *db.DB, from, to, step float64) ([]SweepPoint, error) {
+	tables, err := core.DeriveAll(ctx, d, core.Options{})
+	if err != nil {
+		return nil, err
+	}
 	var out []SweepPoint
+	sel := make([]core.Result, len(tables))
 	// Index-based stepping: naive accumulation drifts above `to` and a
 	// threshold of 1.0000000000000002 would reject even fully-supported
 	// hypotheses.
@@ -116,11 +128,10 @@ func ThresholdSweep(ctx context.Context, d *db.DB, from, to, step float64) ([]Sw
 		if tac > to {
 			tac = to
 		}
-		fr, err := NoLockFraction(ctx, d, tac)
-		if err != nil {
-			return nil, err
+		for j, tab := range tables {
+			sel[j] = core.Select(tab, core.Options{AcceptThreshold: tac})
 		}
-		out = append(out, SweepPoint{Threshold: tac, Fractions: fr})
+		out = append(out, SweepPoint{Threshold: tac, Fractions: noLockFractions(sel)})
 	}
 	return out, nil
 }
