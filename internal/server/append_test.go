@@ -218,12 +218,12 @@ func TestAppendHandlerModes(t *testing.T) {
 }
 
 // TestAppendRetainsRuleCache is the regression test for the wholesale
-// cache flush: an append must keep the per-group results of untouched
+// cache flush: an append must keep the per-group tables of untouched
 // groups, so the next derivation re-mines only what the append dirtied —
 // and an identical repeat query is a clean cache hit again. Every load
-// and append pre-mines the default options, so the derive-path
-// assertions ride a non-default key where the per-entry delta deriver
-// still runs.
+// and append pre-mines the unpruned MaxLocks-0 table, from which a
+// ?tac= query only selects, so the mining assertions ride a MaxLocks
+// key, whose table the per-entry delta deriver still mines.
 func TestAppendRetainsRuleCache(t *testing.T) {
 	s := newLoadedServer(t)
 	sh := discoverClockShape(t, clockTraceBytes(t))
@@ -234,8 +234,14 @@ func TestAppendRetainsRuleCache(t *testing.T) {
 	if hits, derives := s.m.cacheHits.Value(), s.m.derives.Value(); hits != 1 || derives != 0 {
 		t.Fatalf("warm default query: hits=%d derives=%d, want 1/0 (pre-mined by the load)", hits, derives)
 	}
+	// Another threshold selects from the load's table: nothing mined.
+	do(t, s, "GET", "/v1/rules?tac=0.8", nil)
+	if remined := s.m.groupsRemined.Value(); remined != 0 {
+		t.Fatalf("?tac= query re-mined %d groups, want 0 (it selects from the load's table)", remined)
+	}
 
-	do(t, s, "GET", "/v1/rules?tac=0.8", nil) // warm: everything mined once
+	const capped = "/v1/rules?max_locks=1"
+	do(t, s, "GET", capped, nil) // warm: everything mined once
 	total := len(s.Snapshot().DB.Groups())
 	baseRemined := s.m.groupsRemined.Value()
 	if baseRemined != uint64(total) {
@@ -258,8 +264,12 @@ func TestAppendRetainsRuleCache(t *testing.T) {
 	if hits := s.m.cacheHits.Value(); hits != hitsBefore+1 {
 		t.Errorf("default query after append: hits %d -> %d, want a cache hit", hitsBefore, hits)
 	}
-
 	do(t, s, "GET", "/v1/rules?tac=0.8", nil)
+	if remined := s.m.groupsRemined.Value(); remined != baseRemined {
+		t.Errorf("?tac= query after append re-mined %d groups, want 0", remined-baseRemined)
+	}
+
+	do(t, s, "GET", capped, nil)
 	reused := s.m.groupsReused.Value()
 	remined := s.m.groupsRemined.Value() - baseRemined
 	if remined != uint64(resp.DirtyGroups) {
@@ -270,7 +280,7 @@ func TestAppendRetainsRuleCache(t *testing.T) {
 	}
 
 	hitsBefore = s.m.cacheHits.Value()
-	do(t, s, "GET", "/v1/rules?tac=0.8", nil)
+	do(t, s, "GET", capped, nil)
 	if hits := s.m.cacheHits.Value(); hits != hitsBefore+1 {
 		t.Errorf("repeat query after append: hits %d -> %d, want a cache hit", hitsBefore, hits)
 	}
@@ -280,7 +290,7 @@ func TestAppendRetainsRuleCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	reusedBefore := s.m.groupsReused.Value()
-	do(t, s, "GET", "/v1/rules?tac=0.8", nil)
+	do(t, s, "GET", capped, nil)
 	if r := s.m.groupsReused.Value(); r != reusedBefore {
 		t.Errorf("query after full reload reused %d stale groups", r-reusedBefore)
 	}

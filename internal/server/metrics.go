@@ -102,11 +102,11 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			}
 			return 0
 		})
-	reg.GaugeFunc("lockdocd_cache_entries", "Resident derivation cache entries across all namespaces.",
+	reg.GaugeFunc("lockdocd_cache_entries", "Resident rule selections (one per options key) across all namespaces.",
 		func() float64 {
 			n := 0
 			for _, ns := range s.reg.all() {
-				n += ns.cache.len()
+				n += ns.cache.selections.len()
 			}
 			return float64(n)
 		})

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"lockdoc/internal/analysis"
+	"lockdoc/internal/blk"
 	"lockdoc/internal/core"
 	"lockdoc/internal/trace"
 	"lockdoc/internal/workload"
@@ -210,6 +211,65 @@ func TestCacheMemoization(t *testing.T) {
 	body := do(t, s, "GET", "/metrics", nil).Body.String()
 	if !strings.Contains(body, "lockdocd_cache_hits_total 5") {
 		t.Errorf("metrics missing hit counter:\n%s", body)
+	}
+}
+
+// TestRulesSelectFromLoadedTable pins the split between mining and
+// selection: after a load, /rules queries that keep MaxLocks 0 only
+// select from the table the load mined, whatever their thresholds and
+// strategy, and each answers exactly what a fresh derivation with its
+// options renders.
+func TestRulesSelectFromLoadedTable(t *testing.T) {
+	var blkTrace bytes.Buffer
+	w, err := trace.NewWriter(&blkTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := blk.RunExample(w, 42, 60); err != nil {
+		t.Fatal(err)
+	}
+	queries := []struct {
+		query string
+		opt   core.Options
+	}{
+		{"tac=0.7", core.Options{AcceptThreshold: 0.7}},
+		{"tac=0.8&hypotheses=true", core.Options{AcceptThreshold: 0.8}},
+		{"tac=0.95", core.Options{AcceptThreshold: 0.95}},
+		{"tac=1", core.Options{AcceptThreshold: 1}},
+		{"tco=0.1&hypotheses=true", core.Options{AcceptThreshold: 0.9, CutoffThreshold: 0.1}},
+		{"tac=0.8&tco=0.95", core.Options{AcceptThreshold: 0.8, CutoffThreshold: 0.95}},
+		{"naive=true", core.Options{AcceptThreshold: 0.9, Naive: true}},
+		{"naive=true&tco=0.3&hypotheses=true", core.Options{AcceptThreshold: 0.9, CutoffThreshold: 0.3, Naive: true}},
+	}
+	for name, raw := range map[string][]byte{"clock": clockTraceBytes(t), "blk": blkTrace.Bytes()} {
+		s := New(Config{Ingest: lenientIngest()})
+		snap, err := s.LoadTrace(bytes.NewReader(raw), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mined := s.coreMetrics.GroupsMined.Value()
+		for _, q := range queries {
+			results, err := core.DeriveAll(context.Background(), snap.DB, q.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var inner, want bytes.Buffer
+			if err := analysis.WriteRulesJSON(&inner, snap.DB, results, strings.Contains(q.query, "hypotheses")); err != nil {
+				t.Fatal(err)
+			}
+			enc := json.NewEncoder(&want)
+			enc.SetEscapeHTML(false)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(map[string]any{"data": json.RawMessage(inner.Bytes())}); err != nil {
+				t.Fatal(err)
+			}
+			if got := do(t, s, "GET", "/v1/rules?"+q.query, nil).Body.String(); got != want.String() {
+				t.Errorf("%s ?%s: body differs from a fresh derivation:\n--- got ---\n%s--- want ---\n%s", name, q.query, got, want.String())
+			}
+		}
+		if n := s.coreMetrics.GroupsMined.Value() - mined; n != 0 {
+			t.Errorf("%s: MaxLocks-0 queries mined %d groups, want 0 (select from the load's table)", name, n)
+		}
 	}
 }
 
