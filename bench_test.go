@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"runtime"
 	"strconv"
@@ -943,6 +944,66 @@ func BenchmarkDeriveServeTacMiss(b *testing.B) {
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
+	}
+}
+
+var (
+	serveOnce sync.Once
+	serveRaw  []byte
+)
+
+// BenchmarkServeRead measures one request of each lockdocd read route
+// on the serve-read workload's input (the scale-1 kernel mix,
+// PreemptEvery 97, seed 1), loaded into a default-configured server
+// and driven through the real handler stack. rules is a rule-cache
+// hit, so it times rendering and encoding; rules_tac cycles through
+// more thresholds than the rule cache holds, so every request selects
+// from the loaded table and renders; doc cycles through the type
+// labels. The load is outside the timer.
+func BenchmarkServeRead(b *testing.B) {
+	serveOnce.Do(func() {
+		var buf bytes.Buffer
+		w, err := trace.NewWriter(&buf)
+		if err != nil {
+			panic(err)
+		}
+		if _, err := workload.Run(w, workload.Options{Seed: 1, Scale: 1, PreemptEvery: 97}); err != nil {
+			panic(err)
+		}
+		serveRaw = buf.Bytes()
+	})
+	s := server.New(server.Config{})
+	snap, err := s.LoadTrace(bytes.NewReader(serveRaw), "serve-read")
+	if err != nil {
+		b.Fatal(err)
+	}
+	labels := snap.DB.TypeLabels()
+	tacs := make([]string, 2*server.DefaultCacheSize)
+	for i := range tacs {
+		tacs[i] = strconv.FormatFloat(0.5+0.49*float64(i)/float64(len(tacs)), 'f', 4, 64)
+	}
+	h := s.Handler()
+	for _, c := range []struct {
+		name string
+		path func(i int) string
+	}{
+		{"rules", func(int) string { return "/v1/rules" }},
+		{"rules_tac", func(i int) string { return "/v1/rules?tac=" + tacs[i%len(tacs)] }},
+		{"checks", func(int) string { return "/v1/checks" }},
+		{"violations_summary", func(int) string { return "/v1/violations?summary=true" }},
+		{"stats", func(int) string { return "/v1/stats" }},
+		{"doc", func(i int) string { return "/v1/doc?type=" + url.QueryEscape(labels[i%len(labels)]) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", c.path(i), nil))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("GET %s: status %d: %s", c.path(i), rec.Code, rec.Body.String())
+				}
+			}
+		})
 	}
 }
 

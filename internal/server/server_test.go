@@ -15,6 +15,7 @@ import (
 	"lockdoc/internal/analysis"
 	"lockdoc/internal/blk"
 	"lockdoc/internal/core"
+	"lockdoc/internal/fs"
 	"lockdoc/internal/trace"
 	"lockdoc/internal/workload"
 )
@@ -29,6 +30,21 @@ func clockTraceBytes(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	if _, err := workload.RunClockExample(w, 42, 1000); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// blkTraceBytes produces the block-layer example trace (seed 42, 60
+// rounds) in the v2 wire format.
+func blkTraceBytes(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := blk.RunExample(w, 42, 60); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -220,14 +236,6 @@ func TestCacheMemoization(t *testing.T) {
 // strategy, and each answers exactly what a fresh derivation with its
 // options renders.
 func TestRulesSelectFromLoadedTable(t *testing.T) {
-	var blkTrace bytes.Buffer
-	w, err := trace.NewWriter(&blkTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := blk.RunExample(w, 42, 60); err != nil {
-		t.Fatal(err)
-	}
 	queries := []struct {
 		query string
 		opt   core.Options
@@ -241,7 +249,7 @@ func TestRulesSelectFromLoadedTable(t *testing.T) {
 		{"naive=true", core.Options{AcceptThreshold: 0.9, Naive: true}},
 		{"naive=true&tco=0.3&hypotheses=true", core.Options{AcceptThreshold: 0.9, CutoffThreshold: 0.3, Naive: true}},
 	}
-	for name, raw := range map[string][]byte{"clock": clockTraceBytes(t), "blk": blkTrace.Bytes()} {
+	for name, raw := range map[string][]byte{"clock": clockTraceBytes(t), "blk": blkTraceBytes(t)} {
 		s := New(Config{Ingest: lenientIngest()})
 		snap, err := s.LoadTrace(bytes.NewReader(raw), name)
 		if err != nil {
@@ -269,6 +277,97 @@ func TestRulesSelectFromLoadedTable(t *testing.T) {
 		}
 		if n := s.coreMetrics.GroupsMined.Value() - mined; n != 0 {
 			t.Errorf("%s: MaxLocks-0 queries mined %d groups, want 0 (select from the load's table)", name, n)
+		}
+	}
+}
+
+// TestJSONReadRoutesByteIdentical pins the bytes of every JSON read
+// route over the clock and blk traces. Each body must equal a fresh
+// library computation rendered by analysis.Write*JSON (the violation
+// summary by its row encoding), wrapped as a json.RawMessage in the
+// indented /v1 envelope.
+func TestJSONReadRoutesByteIdentical(t *testing.T) {
+	// encode renders v the way the analysis.Write*JSON functions do.
+	encode := func(w io.Writer, v any) error {
+		enc := json.NewEncoder(w)
+		enc.SetEscapeHTML(false)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	}
+	type summaryRow struct {
+		Type     string `json:"type"`
+		Events   uint64 `json:"events"`
+		Members  int    `json:"members"`
+		Contexts int    `json:"contexts"`
+	}
+	for name, raw := range map[string][]byte{"clock": clockTraceBytes(t), "blk": blkTraceBytes(t)} {
+		s := New(Config{Ingest: lenientIngest()})
+		snap, err := s.LoadTrace(bytes.NewReader(raw), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := snap.DB
+		derive := func(opt core.Options) []core.Result {
+			results, err := core.DeriveAll(context.Background(), d, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return results
+		}
+		results := derive(core.Options{AcceptThreshold: core.DefaultAcceptThreshold})
+		naive := derive(core.Options{AcceptThreshold: core.DefaultAcceptThreshold, Naive: true})
+		ofType := func(label string) []core.Result {
+			var kept []core.Result
+			for _, res := range results {
+				if res.Group.TypeLabel() == label {
+					kept = append(kept, res)
+				}
+			}
+			return kept
+		}
+		label := d.TypeLabels()[0]
+		checks, err := analysis.CheckAll(d, fs.DocumentedRules())
+		if err != nil {
+			t.Fatal(err)
+		}
+		viols := analysis.FindViolations(d, results)
+		summary := make([]summaryRow, 0)
+		for _, sum := range analysis.SummarizeViolations(d, viols) {
+			summary = append(summary, summaryRow{sum.TypeLabel, sum.Events, sum.Members, sum.Contexts})
+		}
+
+		for _, c := range []struct {
+			path   string
+			render func(w io.Writer) error
+		}{
+			{"/v1/rules", func(w io.Writer) error { return analysis.WriteRulesJSON(w, d, results, false) }},
+			{"/v1/rules?type=" + label, func(w io.Writer) error { return analysis.WriteRulesJSON(w, d, ofType(label), false) }},
+			{"/v1/rules?type=nosuch", func(w io.Writer) error { return analysis.WriteRulesJSON(w, d, ofType("nosuch"), false) }},
+			{"/v1/rules?hypotheses=true", func(w io.Writer) error { return analysis.WriteRulesJSON(w, d, results, true) }},
+			{"/v1/rules?naive=true", func(w io.Writer) error { return analysis.WriteRulesJSON(w, d, naive, false) }},
+			{"/v1/checks", func(w io.Writer) error { return analysis.WriteChecksJSON(w, checks) }},
+			{"/v1/violations", func(w io.Writer) error {
+				return analysis.WriteViolationsJSON(w, analysis.Examples(d, viols, 20))
+			}},
+			{"/v1/violations?max=0", func(w io.Writer) error {
+				return analysis.WriteViolationsJSON(w, analysis.Examples(d, viols, 0))
+			}},
+			{"/v1/violations?summary=true", func(w io.Writer) error { return encode(w, summary) }},
+		} {
+			var inner, want bytes.Buffer
+			if err := c.render(&inner); err != nil {
+				t.Fatal(err)
+			}
+			if err := encode(&want, map[string]any{"data": json.RawMessage(inner.Bytes())}); err != nil {
+				t.Fatal(err)
+			}
+			rec := do(t, s, "GET", c.path, nil)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", name, c.path, rec.Code, rec.Body.String())
+			}
+			if got := rec.Body.String(); got != want.String() {
+				t.Errorf("%s %s: body differs from the library rendering:\n--- got ---\n%s--- want ---\n%s", name, c.path, got, want.String())
+			}
 		}
 	}
 }

@@ -9,6 +9,8 @@
 #   BENCH_ingest.json    trace ingest: BenchmarkImport (decode plus
 #                        import) and BenchmarkSec72TraceStats (decode
 #                        alone)
+#   BENCH_serve.json     BenchmarkServeRead: one request of each
+#                        lockdocd read route on the serve-read input
 #
 # Each file stores the raw benchmark lines in benchstat-friendly form
 # next to machine metadata.
@@ -74,3 +76,4 @@ pin() {
 pin BENCH_derive.json Derive . ./internal/core/
 pin BENCH_segstore.json Segstore .
 pin BENCH_ingest.json 'BenchmarkImport$|BenchmarkSec72TraceStats$' .
+pin BENCH_serve.json 'BenchmarkServeRead' .
