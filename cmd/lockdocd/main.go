@@ -130,7 +130,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		}
 		if snap := srv.Snapshot(); snap != nil {
 			fmt.Fprintf(stderr, "lockdocd: reopened %s: %d transactions, %d groups (generation %d)\n",
-				*storeDir, snap.DB.Transactions, len(snap.DB.Groups()), snap.Gen)
+				*storeDir, snap.DB.Transactions, snap.DB.GroupCount(), snap.Gen)
 		}
 		if opened > 1 {
 			fmt.Fprintf(stderr, "lockdocd: reopened %s: %d namespaces serving\n", *storeDir, opened)
@@ -142,7 +142,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			return err
 		}
 		fmt.Fprintf(stderr, "lockdocd: loaded %s: %d transactions, %d groups (generation %d)\n",
-			*tracePath, snap.DB.Transactions, len(snap.DB.Groups()), snap.Gen)
+			*tracePath, snap.DB.Transactions, snap.DB.GroupCount(), snap.Gen)
 		if sum := snap.DB.DegradedSummary(); sum != "" {
 			fmt.Fprintf(stderr, "lockdocd: degraded ingest: %s\n", sum)
 		}

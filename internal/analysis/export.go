@@ -14,6 +14,11 @@ import (
 // results and violations, meant for downstream tooling (dashboards,
 // CI gates, the diff tool of other checkouts). HTML escaping is off so
 // the "a -> b" arrow notation survives grep-ably instead of as \u003e.
+//
+// Each report has one builder (RulesJSON, ChecksJSON, ViolationsJSON)
+// that the Write*JSON encoders and lockdocd share: the server passes
+// the builder's value to its response envelope, so every payload is
+// encoded exactly once.
 
 // RuleJSON is one derived rule in the JSON report.
 type RuleJSON struct {
@@ -38,10 +43,11 @@ type HypothesisJSON struct {
 	Sr   float64 `json:"sr"`
 }
 
-// WriteRulesJSON emits the derivation results as a JSON array. With
-// includeHypotheses, every candidate is embedded per rule in report
-// order (core.Ranked), with the reason the winner won.
-func WriteRulesJSON(w io.Writer, d *db.DB, results []core.Result, includeHypotheses bool) error {
+// RulesJSON builds the JSON report of the derivation results: one
+// row per group with a winner. With includeHypotheses, every candidate
+// is embedded per rule in report order (core.Ranked), with the reason
+// the winner won.
+func RulesJSON(d *db.DB, results []core.Result, includeHypotheses bool) []RuleJSON {
 	out := make([]RuleJSON, 0, len(results))
 	for _, res := range results {
 		if res.Winner == nil {
@@ -67,10 +73,12 @@ func WriteRulesJSON(w io.Writer, d *db.DB, results []core.Result, includeHypothe
 		}
 		out = append(out, rj)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return out
+}
+
+// WriteRulesJSON emits RulesJSON as an indented JSON array.
+func WriteRulesJSON(w io.Writer, d *db.DB, results []core.Result, includeHypotheses bool) error {
+	return writeJSON(w, RulesJSON(d, results, includeHypotheses))
 }
 
 // CheckJSON is one documented-rule verdict in the JSON report.
@@ -85,8 +93,8 @@ type CheckJSON struct {
 	Sr      float64 `json:"sr"`
 }
 
-// WriteChecksJSON emits rule-checker results as a JSON array.
-func WriteChecksJSON(w io.Writer, results []CheckResult) error {
+// ChecksJSON builds the JSON report of rule-checker results.
+func ChecksJSON(results []CheckResult) []CheckJSON {
 	out := make([]CheckJSON, 0, len(results))
 	for _, r := range results {
 		at := "r"
@@ -99,10 +107,12 @@ func WriteChecksJSON(w io.Writer, results []CheckResult) error {
 			Verdict: r.Verdict.String(), Sa: r.Sa, Sr: r.Sr,
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return out
+}
+
+// WriteChecksJSON emits ChecksJSON as an indented JSON array.
+func WriteChecksJSON(w io.Writer, results []CheckResult) error {
+	return writeJSON(w, ChecksJSON(results))
 }
 
 // ViolationJSON is one violation example in the JSON report.
@@ -115,8 +125,8 @@ type ViolationJSON struct {
 	Events     uint64 `json:"events"`
 }
 
-// WriteViolationsJSON emits violation examples as a JSON array.
-func WriteViolationsJSON(w io.Writer, examples []ViolationExample) error {
+// ViolationsJSON builds the JSON report of violation examples.
+func ViolationsJSON(examples []ViolationExample) []ViolationJSON {
 	out := make([]ViolationJSON, 0, len(examples))
 	for _, e := range examples {
 		out = append(out, ViolationJSON{
@@ -124,8 +134,19 @@ func WriteViolationsJSON(w io.Writer, examples []ViolationExample) error {
 			Location: e.Location, Stack: e.Stack, Events: e.Events,
 		})
 	}
+	return out
+}
+
+// WriteViolationsJSON emits ViolationsJSON as an indented JSON array.
+func WriteViolationsJSON(w io.Writer, examples []ViolationExample) error {
+	return writeJSON(w, ViolationsJSON(examples))
+}
+
+// writeJSON encodes v the way every report of this file is written:
+// indented by two spaces, without HTML escaping.
+func writeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(v)
 }

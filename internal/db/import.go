@@ -708,6 +708,10 @@ func (db *DB) commit(a *Allocation, member int, write bool, seq LockSeq, events 
 	g.EventSum += events
 }
 
+// GroupCount returns the number of observation groups, without the
+// allocation and sort of Groups.
+func (db *DB) GroupCount() int { return len(db.groups) }
+
 // Groups returns all observation groups in a stable order (by type name,
 // subclass, member index, then writes before reads).
 func (db *DB) Groups() []*ObsGroup {

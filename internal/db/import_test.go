@@ -170,6 +170,9 @@ func TestClockExampleGroups(t *testing.T) {
 	if g, ok := d.Group("clock", "", "seconds", false); ok && g.Total > 0 {
 		t.Errorf("seconds/read Total = %d, want 0", g.Total)
 	}
+	if n := d.GroupCount(); n != len(d.Groups()) {
+		t.Errorf("GroupCount = %d, want len(Groups()) = %d", n, len(d.Groups()))
+	}
 }
 
 func TestTransactionBoundaries(t *testing.T) {

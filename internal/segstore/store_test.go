@@ -202,6 +202,9 @@ func TestStateRoundTripReopen(t *testing.T) {
 	if len(groups) == 0 {
 		t.Fatal("no groups in loaded state")
 	}
+	if n := snap.GroupCount(); n != len(groups) {
+		t.Fatalf("GroupCount = %d, want %d (every stub counts)", n, len(groups))
+	}
 	stubs := 0
 	for _, g := range groups {
 		if g.Seqs == nil {

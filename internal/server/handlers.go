@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -159,7 +158,7 @@ func nsInfo(ns *namespace) nsInfoJSON {
 	info := nsInfoJSON{Name: ns.name, ResidentBytes: ns.resident.Load()}
 	if snap := ns.snapshot(); snap != nil {
 		info.Epoch, info.Generation = snap.Epoch, snap.Gen
-		info.Groups = len(snap.DB.Groups())
+		info.Groups = snap.DB.GroupCount()
 		info.Events = snap.DB.RawAccesses
 		info.Source = snap.Source
 		t := snap.LoadedAt
@@ -241,12 +240,7 @@ func (s *Server) handleRules(ns *namespace, w http.ResponseWriter, r *http.Reque
 		results = kept
 	}
 	hyps := r.URL.Query().Get("hypotheses") == "true"
-	var buf bytes.Buffer
-	if err := analysis.WriteRulesJSON(&buf, snap.DB, results, hyps); err != nil {
-		writeErr(w, http.StatusInternalServerError, "rendering rules: %s", err)
-		return
-	}
-	writeData(w, http.StatusOK, json.RawMessage(buf.Bytes()))
+	writeData(w, http.StatusOK, analysis.RulesJSON(snap.DB, results, hyps))
 }
 
 func (s *Server) handleChecks(ns *namespace, w http.ResponseWriter, _ *http.Request) {
@@ -254,12 +248,7 @@ func (s *Server) handleChecks(ns *namespace, w http.ResponseWriter, _ *http.Requ
 	if snap == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := analysis.WriteChecksJSON(&buf, snap.Checks); err != nil {
-		writeErr(w, http.StatusInternalServerError, "rendering checks: %s", err)
-		return
-	}
-	writeData(w, http.StatusOK, json.RawMessage(buf.Bytes()))
+	writeData(w, http.StatusOK, analysis.ChecksJSON(snap.Checks))
 }
 
 func (s *Server) handleViolations(ns *namespace, w http.ResponseWriter, r *http.Request) {
@@ -302,12 +291,7 @@ func (s *Server) handleViolations(ns *namespace, w http.ResponseWriter, r *http.
 		writeData(w, http.StatusOK, out)
 		return
 	}
-	var buf bytes.Buffer
-	if err := analysis.WriteViolationsJSON(&buf, analysis.Examples(snap.DB, viols, max)); err != nil {
-		writeErr(w, http.StatusInternalServerError, "rendering violations: %s", err)
-		return
-	}
-	writeData(w, http.StatusOK, json.RawMessage(buf.Bytes()))
+	writeData(w, http.StatusOK, analysis.ViolationsJSON(analysis.Examples(snap.DB, viols, max)))
 }
 
 func (s *Server) handleDoc(ns *namespace, w http.ResponseWriter, r *http.Request) {
@@ -393,7 +377,7 @@ func (s *Server) handleStats(ns *namespace, w http.ResponseWriter, _ *http.Reque
 		Transactions:     d.Transactions,
 		UnresolvedAddrs:  d.UnresolvedAddrs,
 		CrossCtxReleases: d.CrossCtxRelease,
-		Groups:           len(d.Groups()),
+		Groups:           d.GroupCount(),
 
 		UnknownKindEvents: d.UnknownKindEvents,
 		DroppedAllocs:     d.DroppedAllocs,
@@ -467,7 +451,7 @@ func (s *Server) handleTraceUpload(ns *namespace, w http.ResponseWriter, r *http
 			"generation":   snap.Gen,
 			"bytes":        counted.n,
 			"transactions": d.Transactions,
-			"groups":       len(d.Groups()),
+			"groups":       d.GroupCount(),
 			"corruptions":  len(d.Corruptions),
 			"degraded":     d.DegradedSummary(),
 		})
@@ -487,7 +471,7 @@ func (s *Server) handleTraceUpload(ns *namespace, w http.ResponseWriter, r *http
 			"generation":   snap.Gen,
 			"bytes":        counted.n,
 			"events":       stats.Events,
-			"groups":       len(snap.DB.Groups()),
+			"groups":       snap.DB.GroupCount(),
 			"dirty_groups": stats.Dirty,
 			"premined":     stats.Premined,
 			"delta_ms":     stats.Elapsed.Milliseconds(),

@@ -110,6 +110,14 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			}
 			return float64(n)
 		})
+	reg.GaugeFunc("lockdocd_cache_tables", "Resident mined hypothesis tables (one per MaxLocks and prune floor) across all namespaces.",
+		func() float64 {
+			n := 0
+			for _, ns := range s.reg.all() {
+				n += ns.cache.tables.len()
+			}
+			return float64(n)
+		})
 	reg.GaugeFunc("lockdocd_snapshot_generation", "Generation of the default namespace's published snapshot (0 = none).",
 		func() float64 {
 			if snap := s.Snapshot(); snap != nil {
@@ -120,7 +128,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	reg.GaugeFunc("lockdocd_snapshot_groups", "Observation groups in the default namespace's published snapshot.",
 		func() float64 {
 			if snap := s.Snapshot(); snap != nil {
-				return float64(len(snap.DB.Groups()))
+				return float64(snap.DB.GroupCount())
 			}
 			return 0
 		})

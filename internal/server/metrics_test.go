@@ -33,6 +33,7 @@ func TestMetricsExpositionShape(t *testing.T) {
 		// Gather-time gauges reading live server state.
 		"lockdocd_snapshot_generation 1\n",
 		"lockdocd_cache_entries 1\n",
+		"lockdocd_cache_tables 1\n",
 		// The /metrics request itself is in flight while gathering.
 		"lockdocd_inflight_requests 1\n",
 		// Per-endpoint latency family: one TYPE header, labeled series.
@@ -67,6 +68,15 @@ func TestMetricsExpositionShape(t *testing.T) {
 	// reader metrics; the counter must be live, not just registered.
 	if strings.Contains(body, "lockdoc_trace_events_decoded_total 0\n") {
 		t.Error("trace decode counter stayed 0 after a load")
+	}
+
+	// A MaxLocks the load did not mine for needs a table of its own.
+	do(t, s, "GET", "/v1/rules?max_locks=1", nil)
+	body = do(t, s, "GET", "/metrics", nil).Body.String()
+	for _, want := range []string{"lockdocd_cache_entries 2\n", "lockdocd_cache_tables 2\n"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics after ?max_locks=1 missing %q", want)
+		}
 	}
 }
 

@@ -139,7 +139,7 @@ func (ns *namespace) loadTrace(r io.Reader, source string) (*Snapshot, error) {
 	// resynchronizes right past the end). Publishing an all-empty
 	// snapshot would silently blank the service, so insist on at least
 	// one decoded access or observation group.
-	if view.RawAccesses == 0 && len(view.Groups()) == 0 {
+	if view.RawAccesses == 0 && view.GroupCount() == 0 {
 		return nil, fmt.Errorf("server: %s contains no decodable observations%s",
 			source, degradedSuffix(view))
 	}
@@ -328,7 +328,7 @@ func (ns *namespace) replayLocked() (*db.DB, []core.Result, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: deriving store trace: %w", err)
 	}
-	if view.RawAccesses == 0 && len(view.Groups()) == 0 {
+	if view.RawAccesses == 0 && view.GroupCount() == 0 {
 		return nil, nil, fmt.Errorf("server: store trace contains no decodable observations%s",
 			degradedSuffix(view))
 	}
