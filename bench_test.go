@@ -962,15 +962,10 @@ var (
 // labels. The load is outside the timer.
 func BenchmarkServeRead(b *testing.B) {
 	serveOnce.Do(func() {
-		var buf bytes.Buffer
-		w, err := trace.NewWriter(&buf)
-		if err != nil {
+		var err error
+		if serveRaw, err = kernelMixTrace(1); err != nil {
 			panic(err)
 		}
-		if _, err := workload.Run(w, workload.Options{Seed: 1, Scale: 1, PreemptEvery: 97}); err != nil {
-			panic(err)
-		}
-		serveRaw = buf.Bytes()
 	})
 	s := server.New(server.Config{})
 	snap, err := s.LoadTrace(bytes.NewReader(serveRaw), "serve-read")
@@ -1124,4 +1119,103 @@ func BenchmarkSegstoreReopen(b *testing.B) {
 			}
 		}
 	})
+	// replay is what the first append to an evicted namespace pays
+	// before it can commit: the store's trace chain, inflated segment by
+	// segment, decoded and imported into a fresh store.
+	b.Run("replay", func(b *testing.B) {
+		st, err := segstore.Open(dir, segstore.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer st.Close()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d2, err := db.Import(trace.NewContinuationReader(st.TraceReader(), trace.ReaderOptions{}), db.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(d2.Groups()) == 0 {
+				b.Fatal("replay produced no groups")
+			}
+		}
+	})
+}
+
+var (
+	durableOnce   sync.Once
+	durableBase   []byte
+	durableBlocks [][]byte
+)
+
+// BenchmarkSegstoreDurableAppend measures lockdocd's durable append:
+// one operation is one Server.AppendTrace of the next sync block into a
+// store-backed server, which commits the block to the trace chain,
+// consumes it, re-derives the dirty groups, checks the documented rules
+// and compacts the state. The input has the append-durable workload's
+// shape: the scale-2 kernel mix (seed 1, PreemptEvery 97), whose first
+// fifth of sync blocks is uploaded as the base. After 64 appends the
+// base is uploaded again, outside the timer.
+func BenchmarkSegstoreDurableAppend(b *testing.B) {
+	const appends = 64
+	durableOnce.Do(func() {
+		raw, err := kernelMixTrace(2)
+		if err != nil {
+			panic(err)
+		}
+		ends, err := syncBlockEnds(raw)
+		if err != nil {
+			panic(err)
+		}
+		p := (len(ends) + 4) / 5
+		if len(ends)-p < appends {
+			panic(fmt.Sprintf("the mix has %d sync blocks, too few for %d appends after a base of %d", len(ends), appends, p))
+		}
+		durableBase = raw[:ends[p-1]]
+		for i := 0; i < appends; i++ {
+			durableBlocks = append(durableBlocks, raw[ends[p-1+i]:ends[p+i]])
+		}
+	})
+	s := server.New(server.Config{StoreRoot: b.TempDir()})
+	upload := func() {
+		if _, err := s.LoadTrace(bytes.NewReader(durableBase), "base"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	upload()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%appends == 0 {
+			b.StopTimer()
+			upload()
+			b.StartTimer()
+		}
+		if _, _, err := s.AppendTrace(bytes.NewReader(durableBlocks[i%appends]), "append"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// syncBlockEnds returns the offset just past every sync block of a v2
+// trace.
+func syncBlockEnds(raw []byte) ([]int, error) {
+	r, err := trace.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
+	}
+	var ends []int
+	var ev trace.Event
+	for last := uint64(0); ; {
+		err := r.Read(&ev)
+		if err == io.EOF {
+			return ends, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if n := r.Blocks(); n != last {
+			last = n
+			ends = append(ends, int(r.LastBlockEnd()))
+		}
+	}
 }

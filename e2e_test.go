@@ -210,6 +210,89 @@ func TestEndToEndGoldenDocStoreBacked(t *testing.T) {
 	}
 }
 
+// TestLevel6StoreFixture opens a segment store written by an earlier
+// build, whose blocks were deflated at flate.DefaultCompression. The
+// fixture in testdata/store_level6 was written at commit 288b9b8 from
+// the clock trace of clockV2Trace, split at the first sync marker at or
+// after its midpoint:
+//
+//	s, _ := segstore.Open(dir, segstore.Options{})
+//	s.ResetTrace(clock[:split])
+//	s.AppendTrace(clock[split:])
+//	live := db.New(db.Config{}) // then Consume both halves
+//	live.SealTo(s)
+//	s.Close()
+//
+// The inflater does not depend on the level a block was written at, so
+// the reopened state, a replay of its trace chain, and the state a
+// fresh compaction writes over it must all render the clock golden.
+func TestLevel6StoreFixture(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "clock_doc.golden"))
+	if err != nil {
+		t.Fatalf("%v (run TestEndToEndGoldenDoc with -update to create it)", err)
+	}
+	src := filepath.Join("testdata", "store_level6")
+	files, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(src, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render := func(what string, d *db.DB) {
+		t.Helper()
+		results, err := core.DeriveAll(context.Background(), d, core.Options{AcceptThreshold: core.DefaultAcceptThreshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc := analysis.GenerateDoc(d, results, "clock"); doc != string(want) {
+			t.Errorf("%s: documentation diverges from golden:\n--- got ---\n%s--- want ---\n%s", what, doc, want)
+		}
+		if err := d.HydrateErr(); err != nil {
+			t.Errorf("%s: hydration: %v", what, err)
+		}
+	}
+	open := func() (*segstore.Store, *db.DB) {
+		t.Helper()
+		s, err := segstore.Open(dir, segstore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.StateCurrent() {
+			t.Fatal("the state segment does not cover the trace chain")
+		}
+		view, ok, err := s.LoadState()
+		if err != nil || !ok {
+			t.Fatalf("LoadState: ok=%v err=%v", ok, err)
+		}
+		return s, view
+	}
+
+	s, view := open()
+	render("reopened state", view)
+	replayed, err := db.Import(trace.NewContinuationReader(s.TraceReader(), trace.ReaderOptions{}), db.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	render("replayed trace chain", replayed)
+	if err := s.Compact(view); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, view = open()
+	defer s.Close()
+	render("recompacted state", view)
+}
+
 // TestEndToEndGoldenDocObserved reruns both pipelines with every stage
 // instrumented and pins (a) byte-identical output against the same
 // golden file and (b) that the instruments actually recorded the run —
