@@ -139,8 +139,14 @@ type CheckResult struct {
 
 // CheckRule validates one documented rule against the observations.
 func CheckRule(d *db.DB, spec RuleSpec) (CheckResult, error) {
-	res := CheckResult{Spec: spec}
 	g, ok := d.GroupMerged(spec.Type, spec.Subclass, spec.Member, spec.Write)
+	return checkGroup(d, spec, g, ok)
+}
+
+// checkGroup validates spec against g, the group its lookup resolved
+// (ok false: no group).
+func checkGroup(d *db.DB, spec RuleSpec, g *db.ObsGroup, ok bool) (CheckResult, error) {
+	res := CheckResult{Spec: spec}
 	if !ok || g.Total == 0 {
 		res.Verdict = NotObserved
 		return res, nil
@@ -172,11 +178,14 @@ func CheckRule(d *db.DB, spec RuleSpec) (CheckResult, error) {
 	return res, nil
 }
 
-// CheckAll validates a rule corpus.
+// CheckAll validates a rule corpus, resolving every rule's group
+// through one db.GroupIndex rather than a scan of all groups per rule.
 func CheckAll(d *db.DB, specs []RuleSpec) ([]CheckResult, error) {
+	ix := d.IndexGroups()
 	out := make([]CheckResult, 0, len(specs))
 	for _, spec := range specs {
-		res, err := CheckRule(d, spec)
+		g, ok := ix.Merged(spec.Type, spec.Subclass, spec.Member, spec.Write)
+		res, err := checkGroup(d, spec, g, ok)
 		if err != nil {
 			return nil, fmt.Errorf("rule %s: %w", spec.Label(), err)
 		}

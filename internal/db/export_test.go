@@ -107,8 +107,9 @@ func TestGroupMergedAcrossSubclasses(t *testing.T) {
 }
 
 // TestGroupMergedAggregates checks the per-sequence bookkeeping of the
-// merge: Count, Events and the per-context event counters must sum
-// across subclasses for identical lock signatures, non-subclassed types
+// merge, through GroupMerged and through a GroupIndex: Count, Events and
+// the per-context event counters must sum across subclasses for
+// identical lock signatures, non-subclassed types and named subclasses
 // must resolve through the exact lookup, and mismatched write flags,
 // unknown types and unknown subclasses must find nothing.
 func TestGroupMergedAggregates(t *testing.T) {
@@ -140,51 +141,65 @@ func TestGroupMergedAggregates(t *testing.T) {
 	f.db.Flush()
 	d := f.db
 
-	g, ok := d.GroupMerged("inode", "", "i_data", true)
-	if !ok {
-		t.Fatal("merged inode group missing")
-	}
-	if g.Total != 3 || g.EventSum != 4 {
-		t.Errorf("merged Total/EventSum = %d/%d, want 3/4", g.Total, g.EventSum)
-	}
-	var locked *SeqObs
-	for _, so := range g.Seqs {
-		if len(so.Seq) == 1 {
-			locked = so
-		}
-	}
-	if locked == nil {
-		t.Fatal("merged single-lock observation missing")
-	}
-	if locked.Count != 2 || locked.Events != 3 {
-		t.Errorf("merged Count/Events = %d/%d, want 2/3", locked.Count, locked.Events)
-	}
-	ctxEvents := map[uint32]uint64{}
-	for c, n := range locked.Contexts {
-		ctxEvents[c.FuncID] += n
-	}
-	if ctxEvents[1] != 2 || ctxEvents[2] != 1 {
-		t.Errorf("merged context counters = %v, want func1:2 func2:1", ctxEvents)
-	}
+	// GroupMerged and a GroupIndex built once must resolve alike.
+	for _, lookup := range []struct {
+		name   string
+		merged func(typeName, subclass, member string, write bool) (*ObsGroup, bool)
+	}{
+		{"GroupMerged", d.GroupMerged},
+		{"GroupIndex", d.IndexGroups().Merged},
+	} {
+		t.Run(lookup.name, func(t *testing.T) {
+			g, ok := lookup.merged("inode", "", "i_data", true)
+			if !ok {
+				t.Fatal("merged inode group missing")
+			}
+			if g.Total != 3 || g.EventSum != 4 {
+				t.Errorf("merged Total/EventSum = %d/%d, want 3/4", g.Total, g.EventSum)
+			}
+			var locked *SeqObs
+			for _, so := range g.Seqs {
+				if len(so.Seq) == 1 {
+					locked = so
+				}
+			}
+			if locked == nil {
+				t.Fatal("merged single-lock observation missing")
+			}
+			if locked.Count != 2 || locked.Events != 3 {
+				t.Errorf("merged Count/Events = %d/%d, want 2/3", locked.Count, locked.Events)
+			}
+			ctxEvents := map[uint32]uint64{}
+			for c, n := range locked.Contexts {
+				ctxEvents[c.FuncID] += n
+			}
+			if ctxEvents[1] != 2 || ctxEvents[2] != 1 {
+				t.Errorf("merged context counters = %v, want func1:2 func2:1", ctxEvents)
+			}
 
-	// Non-subclassed types resolve through the exact lookup: the merged
-	// result is the stored group itself, not a synthetic copy.
-	exact, ok := d.Group("dentry", "", "d_flags", true)
-	if !ok {
-		t.Fatal("dentry group missing")
-	}
-	if merged, ok := d.GroupMerged("dentry", "", "d_flags", true); !ok || merged != exact {
-		t.Errorf("GroupMerged(dentry) = %p ok=%v, want stored group %p", merged, ok, exact)
-	}
+			// Non-subclassed types resolve through the exact lookup: the
+			// merged result is the stored group itself, not a synthetic copy.
+			exact, ok := d.Group("dentry", "", "d_flags", true)
+			if !ok {
+				t.Fatal("dentry group missing")
+			}
+			if merged, ok := lookup.merged("dentry", "", "d_flags", true); !ok || merged != exact {
+				t.Errorf("merged(dentry) = %p ok=%v, want stored group %p", merged, ok, exact)
+			}
+			if ext4, ok := lookup.merged("inode", "ext4", "i_data", true); !ok || ext4.Key.Subclass != "ext4" || ext4.Total != 2 {
+				t.Errorf("merged(inode:ext4) = %+v ok=%v, want the stored ext4 group", ext4, ok)
+			}
 
-	if _, ok := d.GroupMerged("inode", "", "i_data", false); ok {
-		t.Error("merged lookup matched the wrong access type")
-	}
-	if _, ok := d.GroupMerged("nosuch", "", "i_data", true); ok {
-		t.Error("merged lookup invented an unknown type")
-	}
-	if _, ok := d.GroupMerged("inode", "xfs", "i_data", true); ok {
-		t.Error("non-empty unknown subclass must not merge")
+			if _, ok := lookup.merged("inode", "", "i_data", false); ok {
+				t.Error("merged lookup matched the wrong access type")
+			}
+			if _, ok := lookup.merged("nosuch", "", "i_data", true); ok {
+				t.Error("merged lookup invented an unknown type")
+			}
+			if _, ok := lookup.merged("inode", "xfs", "i_data", true); ok {
+				t.Error("non-empty unknown subclass must not merge")
+			}
+		})
 	}
 }
 
