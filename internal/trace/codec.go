@@ -617,8 +617,9 @@ func (r *Reader) string() (string, error) {
 }
 
 // Read decodes the next event into ev. It returns io.EOF at a clean end
-// of the trace. ev's definition slices are reused only if already
-// allocated by the caller; Read never retains ev.
+// of the trace. A decoded event overwrites every field of ev, so
+// nothing of an earlier event survives in it and its definition slices
+// are always newly allocated; Read never retains ev.
 //
 // In lenient mode Read recovers from corruption transparently (see
 // ReaderOptions) and only returns an error once the error budget is
