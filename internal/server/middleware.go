@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"lockdoc/internal/db"
 	"lockdoc/internal/segstore"
 )
 
@@ -30,6 +31,9 @@ func (s *Server) shed(w http.ResponseWriter, reason string, status int,
 // outside the route dispatch so a panic anywhere in a handler — or in
 // the admission path — cannot take the daemon down with it.
 // http.ErrAbortHandler keeps its contract (the connection is dropped).
+// A panic raised while decoding an ingested trace arrives as a
+// *db.DecodePanic; the log shows the decoder's stack where it
+// panicked, and the response only the original value.
 func (s *Server) recoverPanic(w *statusWriter, r *http.Request) {
 	rec := recover()
 	if rec == nil {
@@ -39,9 +43,13 @@ func (s *Server) recoverPanic(w *statusWriter, r *http.Request) {
 		panic(rec)
 	}
 	s.m.panics.Inc()
+	stack := debug.Stack()
+	if p, ok := rec.(*db.DecodePanic); ok {
+		rec, stack = p.Value, p.Stack
+	}
 	if s.cfg.Log != nil {
 		fmt.Fprintf(s.cfg.Log, "lockdocd: panic serving %s %s: %v\n%s",
-			r.Method, r.URL.Path, rec, debug.Stack())
+			r.Method, r.URL.Path, rec, stack)
 	}
 	if !w.started {
 		writeErr(w, http.StatusInternalServerError, "internal error: %v", rec)

@@ -214,6 +214,43 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
+// panicBody hands out at most 64 bytes per Read and panics on its
+// panicAt-th Read.
+type panicBody struct {
+	r       io.Reader
+	reads   int
+	panicAt int
+}
+
+func (p *panicBody) Read(b []byte) (int, error) {
+	if p.reads++; p.reads == p.panicAt {
+		panic("injected body panic")
+	}
+	return p.r.Read(b[:min(len(b), 64)])
+}
+
+// TestUploadDecodePanic: a panic raised while the trace decoder reads
+// an upload answers 500 with the original value, logs the decoder's
+// stack where it panicked, and leaves the daemon serving.
+func TestUploadDecodePanic(t *testing.T) {
+	var log bytes.Buffer
+	s := New(Config{Ingest: lenientIngest(), Log: &log})
+	body := &panicBody{r: bytes.NewReader(clockTraceBytes(t)), panicAt: 5}
+	rec := do(t, s, "POST", "/v1/traces", body)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking upload: status %d, want 500: %s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Body.String(); !strings.Contains(got, "injected body panic") || strings.Contains(got, "goroutine") {
+		t.Errorf("500 body should carry the panic value and no stack: %s", got)
+	}
+	if got := log.String(); !strings.Contains(got, "(*panicBody).Read") || !strings.Contains(got, "db.decodeInto") {
+		t.Errorf("log lacks the decoder's stack at the panic:\n%s", got)
+	}
+	if rec := do(t, s, "GET", "/healthz", nil); rec.Code != http.StatusOK {
+		t.Fatalf("server dead after panic: status %d", rec.Code)
+	}
+}
+
 // TestShutdownDrains pins the drain satellite: BeginShutdown cancels
 // the context of an in-flight derivation (so the handler returns
 // instead of running to completion), refuses new /v1 work with 503,
