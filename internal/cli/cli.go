@@ -497,21 +497,23 @@ func (f FollowFlags) Backoff(reg *obs.Registry) resilience.Backoff {
 }
 
 // Follow tails the trace at path with the evaluation's filter
-// configuration: each poll decodes only the bytes appended since the
-// last one (resuming transaction reconstruction from the live
-// per-context state) through one core.StreamDeriver, and emit is
-// called with a sealed snapshot, the derived rules and the window's
-// streaming statistics — once after the initial read, then again after
-// every poll that appended events. appended is the event count of the
-// poll. The results are byte-identical to a batch import + DeriveAll
-// of the file's current contents: each emit's pass re-mines only the
-// groups the poll touched and answers the rest from the deriver's
-// per-group cache, so stats.Delta.Remined reflects the groups the
-// window actually touched.
+// configuration: each poll hands a reader over the bytes appended
+// since the last one to one core.StreamDeriver's Consume, the ingest
+// path of every other command, which decodes beside import, resumes
+// transaction reconstruction from the live per-context state and folds
+// in the corruption the poll commits. emit is called with a sealed
+// snapshot, the derived rules and the window's streaming statistics —
+// once after the initial read, then again after every poll that
+// appended events. appended is the event count of the poll. The
+// results are byte-identical to a batch import + DeriveAll of the
+// file's current contents: each emit's pass re-mines only the groups
+// the poll touched and answers the rest from the deriver's per-group
+// cache, so stats.Delta.Remined reflects the groups the window
+// actually touched.
 // Follow returns when emit fails, the poll budget is exhausted, or ctx
 // is cancelled (Main cancels it on SIGINT/SIGTERM, so -follow exits
-// promptly, even mid-poll); like OpenDB-based commands it reports
-// accumulated corruption as *Recovered.
+// promptly, even mid-poll); like OpenDB-based commands it reports the
+// corruption of the last emitted snapshot as *Recovered.
 func Follow(ctx context.Context, path string, opts Options, ff FollowFlags, opt core.Options, emit func(view *db.DB, results []core.Result, stats core.StreamStats, appended int) error) error {
 	ro := opts.Ingest.ReaderOptions()
 	if opts.Obs != nil {
@@ -555,27 +557,30 @@ func Follow(ctx context.Context, path string, opts Options, ff FollowFlags, opt 
 		fw.SetSink(sinks)
 	}
 	sd := core.NewStreamDeriver(db.New(ImportConfig(opts)), opt)
+	// A sealed view, unlike the live store, counts the transactions
+	// still open, so the last one emitted reports what a batch run of
+	// the same bytes would.
+	last := sd.Live()
 
-	emitted := false
 	for polls := 0; ; polls++ {
-		n, err := fw.Poll(ctx, func(ev *trace.Event) error { return sd.Add(ev) })
+		n, err := fw.Poll(ctx, sd.Consume)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				// Interrupted mid-poll: the uncommitted tail re-reads on
 				// the next run; report what this run recovered from.
-				return recoveredFromFollow(fw, sd.Live())
+				return RecoveredFromDB(last)
 			}
 			return err
 		}
-		if n > 0 || !emitted {
-			emitted = true
+		if n > 0 || polls == 0 {
 			view, results, stats, err := sd.Derive(ctx)
 			if err != nil {
 				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return recoveredFromFollow(fw, sd.Live())
+					return RecoveredFromDB(last)
 				}
 				return err
 			}
+			last = view
 			if store != nil {
 				// Refresh the compacted state before emitting so a crash
 				// after this point reopens to the snapshot just served.
@@ -592,11 +597,11 @@ func Follow(ctx context.Context, path string, opts Options, ff FollowFlags, opt 
 		}
 		select {
 		case <-ctx.Done():
-			return recoveredFromFollow(fw, sd.Live())
+			return RecoveredFromDB(last)
 		case <-time.After(ff.Interval):
 		}
 	}
-	return recoveredFromFollow(fw, sd.Live())
+	return RecoveredFromDB(last)
 }
 
 // followStoreSink adapts a segment store to trace.BlockSink for the
@@ -646,20 +651,6 @@ func (ks blockSinks) CommitBlocks(raw []byte) error {
 		}
 	}
 	return nil
-}
-
-// recoveredFromFollow is RecoveredFromDB for the tail-follow loop: the
-// follower owns the reader-side corruption state, the live store the
-// import-side drop counters.
-func recoveredFromFollow(fw *trace.Follower, live *db.DB) error {
-	if len(fw.Corruptions()) == 0 && live.DroppedEvents() == 0 {
-		return nil
-	}
-	return &Recovered{
-		Reports:      fw.Corruptions(),
-		BytesSkipped: fw.BytesSkipped(),
-		Dropped:      live.DroppedEvents(),
-	}
 }
 
 // CollectStats re-reads the trace for aggregate event statistics.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -300,18 +301,16 @@ func TestObsFlagsDebugServer(t *testing.T) {
 	}
 }
 
-// TestFollowStoreDir follows a growing trace with a segment store
-// attached: the initial read must reset the store's trace chain, the
-// appended tail must extend it, and after the follow loop ends the
-// store must reopen — without the original file — to the compacted
-// state that the last emit served.
-func TestFollowStoreDir(t *testing.T) {
+// clockBlocks writes the clock example as a v2 trace of 64-event sync
+// blocks and returns it with the offset of every block's marker.
+func clockBlocks(t *testing.T, iterations int) ([]byte, []int) {
+	t.Helper()
 	var buf bytes.Buffer
 	w, err := trace.NewWriterOptions(&buf, trace.WriterOptions{Version: trace.FormatV2, SyncInterval: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workload.RunClockExample(w, 1, 400); err != nil {
+	if _, err := workload.RunClockExample(w, 1, iterations); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -322,6 +321,29 @@ func TestFollowStoreDir(t *testing.T) {
 			offs = append(offs, i)
 		}
 	}
+	return raw, offs
+}
+
+// appendFile appends b to the file at path, as a trace producer would.
+func appendFile(path string, b []byte) error {
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(b); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// TestFollowStoreDir follows a growing trace with a segment store
+// attached: the initial read must reset the store's trace chain, the
+// appended tail must extend it, and after the follow loop ends the
+// store must reopen — without the original file — to the compacted
+// state that the last emit served.
+func TestFollowStoreDir(t *testing.T) {
+	raw, offs := clockBlocks(t, 400)
 	if len(offs) < 3 {
 		t.Fatalf("fixture has %d sync blocks, want >= 3", len(offs))
 	}
@@ -336,19 +358,12 @@ func TestFollowStoreDir(t *testing.T) {
 	errStop := errors.New("done following")
 	var want bytes.Buffer
 	grown := false
-	err = Follow(context.Background(), path, Options{},
+	err := Follow(context.Background(), path, Options{},
 		FollowFlags{Interval: time.Millisecond, StoreDir: storeDir}, core.Options{},
 		func(view *db.DB, results []core.Result, stats core.StreamStats, appended int) error {
 			if !grown {
 				grown = true
-				f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-				if err != nil {
-					return err
-				}
-				if _, err := f.Write(raw[cut:]); err != nil {
-					return err
-				}
-				return f.Close()
+				return appendFile(path, raw[cut:])
 			}
 			if err := view.ExportObservationsCSV(&want); err != nil {
 				return err
@@ -404,6 +419,101 @@ func TestFollowStoreDir(t *testing.T) {
 	}
 }
 
+// TestFollowDegradedMatchesBatch grows a damaged trace in four chunks,
+// the first three cut inside a block (the second inside a damaged
+// one), under a lenient -follow with a store attached. The file ends
+// between two blocks with a transaction still open, where a live
+// producer may pause. The corruption the follow loop reports must be
+// what a batch import of the whole file reports, report for report at
+// file offsets, with the open transaction counted: in the last
+// snapshot, in the reopened store state and in the error Follow
+// returns.
+func TestFollowDegradedMatchesBatch(t *testing.T) {
+	raw, offs := clockBlocks(t, 800)
+	if len(offs) < 15 {
+		t.Fatalf("fixture has %d sync blocks, want >= 15", len(offs))
+	}
+	raw = raw[:offs[14]]
+	for _, b := range []int{3, 7} {
+		raw[(offs[b]+offs[b+1])/2] ^= 0x10
+	}
+	cuts := []int{offs[2] + 5, offs[7] + (offs[8]-offs[7])/3, offs[10] + 2, len(raw)}
+
+	path := filepath.Join(t.TempDir(), "trace.lkdc")
+	whole := path + ".whole"
+	if err := os.WriteFile(whole, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:cuts[0]], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Ingest: IngestFlags{Lenient: true, MaxErrors: 10}}
+	storeDir := filepath.Join(t.TempDir(), "store")
+
+	var last *db.DB
+	emits := 0
+	ferr := Follow(context.Background(), path, opts,
+		FollowFlags{Interval: time.Millisecond, Polls: len(cuts), StoreDir: storeDir}, core.Options{},
+		func(view *db.DB, results []core.Result, stats core.StreamStats, appended int) error {
+			last = view
+			emits++
+			if emits == len(cuts) {
+				return nil
+			}
+			return appendFile(path, raw[cuts[emits-1]:cuts[emits]])
+		})
+	if emits != len(cuts) {
+		t.Fatalf("%d emits, want one per chunk (%d); Follow returned %v", emits, len(cuts), ferr)
+	}
+
+	batch, err := OpenDB(whole, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Corruptions) != 2 || batch.OpenAtEOF == 0 {
+		t.Fatalf("batch import reports %d corruptions and %d open transactions, want the 2 damaged blocks and one open",
+			len(batch.Corruptions), batch.OpenAtEOF)
+	}
+	ledger := func(d *db.DB) string {
+		var b strings.Builder
+		for _, rep := range d.Corruptions {
+			fmt.Fprintln(&b, rep)
+		}
+		fmt.Fprintf(&b, "%d bytes skipped\n%s\n", d.BytesSkipped, d.DegradedSummary())
+		return b.String()
+	}
+	want := ledger(batch)
+	if got := ledger(last); got != want {
+		t.Errorf("last follow snapshot:\n%swant (batch):\n%s", got, want)
+	}
+
+	store, err := segstore.Open(storeDir, segstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	state, ok, err := store.LoadState()
+	if err != nil || !ok {
+		t.Fatalf("LoadState = %v, %v", ok, err)
+	}
+	if got := ledger(state); got != want {
+		t.Errorf("reopened store state:\n%swant (batch):\n%s", got, want)
+	}
+
+	recovered := func(err error) string {
+		var rec *Recovered
+		if !errors.As(err, &rec) {
+			t.Fatalf("got %v, want *Recovered", err)
+		}
+		var b strings.Builder
+		rec.Summarize(&b)
+		return fmt.Sprintf("%s\n%s(%d reports, %d bytes, %d dropped)", rec, b.String(), len(rec.Reports), rec.BytesSkipped, rec.Dropped)
+	}
+	if got, want := recovered(ferr), recovered(RecoveredFromDB(batch)); got != want {
+		t.Errorf("Follow returned:\n%s\nwant (batch):\n%s", got, want)
+	}
+}
+
 // TestFollowCancelled pins the prompt-exit contract: cancelling the
 // context from inside the emit callback ends the follow loop cleanly
 // instead of waiting out the poll interval or spinning forever.
@@ -440,22 +550,7 @@ func TestFollowCancelled(t *testing.T) {
 // namespace must serve a document identical to one built from a direct
 // upload of the whole file.
 func TestFollowPush(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := trace.NewWriterOptions(&buf, trace.WriterOptions{Version: trace.FormatV2, SyncInterval: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := workload.RunClockExample(w, 1, 400); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	needle := []byte{0xFF, 'L', 'K', 'S', 'Y'}
-	var offs []int
-	for i := 0; i+len(needle) <= len(raw); i++ {
-		if bytes.Equal(raw[i:i+len(needle)], needle) {
-			offs = append(offs, i)
-		}
-	}
+	raw, offs := clockBlocks(t, 400)
 	if len(offs) < 3 {
 		t.Fatalf("fixture has %d sync blocks, want >= 3", len(offs))
 	}
@@ -473,19 +568,12 @@ func TestFollowPush(t *testing.T) {
 
 	errStop := errors.New("done following")
 	grown := false
-	err = Follow(ctx, path, Options{},
+	err := Follow(ctx, path, Options{},
 		FollowFlags{Interval: time.Millisecond, PushURL: ts.URL, PushNs: "mirror"}, core.Options{},
 		func(view *db.DB, results []core.Result, stats core.StreamStats, appended int) error {
 			if !grown {
 				grown = true
-				f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-				if err != nil {
-					return err
-				}
-				if _, err := f.Write(raw[cut:]); err != nil {
-					return err
-				}
-				return f.Close()
+				return appendFile(path, raw[cut:])
 			}
 			return errStop
 		})

@@ -7,8 +7,8 @@ import (
 	"lockdoc/internal/trace"
 )
 
-// StreamDeriver is a resumable deriver over a live store: Add and
-// Consume feed events into the store, and Derive seals it once and
+// StreamDeriver is a resumable deriver over a live store: Consume
+// feeds a reader's events into the store, and Derive seals it once and
 // runs one DeltaDeriver pass over the snapshot. The deriver keeps the
 // DeltaDeriver's per-group cache across windows, so each Derive
 // re-mines only the groups the events since the previous Derive
@@ -22,9 +22,10 @@ import (
 //
 // A StreamDeriver is not safe for concurrent use: one goroutine feeds
 // events and calls Derive. After Derive the deriver is reusable — the
-// next Add/Consume opens a new window against the same live store,
-// which is how lockdocd append mode and the follow loop stream across
-// many windows while keeping one warm cache.
+// next Consume opens a new window against the same live store, which
+// is how lockdocd append mode and the follow loop (whose Follower
+// hands each poll's reader to Consume) stream across many windows
+// while keeping one warm cache.
 type StreamDeriver struct {
 	live   *db.DB
 	dd     *DeltaDeriver
@@ -44,16 +45,6 @@ func (sd *StreamDeriver) Live() *db.DB { return sd.live }
 
 // Options returns the derivation options the deriver mines with.
 func (sd *StreamDeriver) Options() Options { return sd.opt }
-
-// Add feeds one event into the live store. It is the tail-follower's
-// per-event sink.
-func (sd *StreamDeriver) Add(ev *trace.Event) error {
-	if err := sd.live.Add(ev); err != nil {
-		return err
-	}
-	sd.events++
-	return nil
-}
 
 // Consume streams every remaining event of r into the live store, with
 // the exact semantics of db.DB.Consume (including corruption-counter

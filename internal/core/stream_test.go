@@ -141,9 +141,10 @@ func TestStreamCancellation(t *testing.T) {
 	assertSameDerivation(t, "post-cancel", batch, want, view, got)
 }
 
-// TestStreamAddWindows drives the Add/Derive cycle the follow loop and
-// lockdocd append mode use: several windows against one deriver, each
-// window's result matching a batch derivation of the prefix so far.
+// TestStreamAddWindows drives the Consume/Derive cycle the follow loop
+// and lockdocd append mode use: several windows against one deriver,
+// each window's events read from its own chunk, and each window's
+// result matching a batch derivation of the prefix so far.
 func TestStreamAddWindows(t *testing.T) {
 	data := syntheticTraceV2(t, 37, 1800, 64)
 	evs := readAllEvents(t, data)
@@ -153,10 +154,12 @@ func TestStreamAddWindows(t *testing.T) {
 	bounds := []int{len(evs) / 4, len(evs) / 2, len(evs)}
 	prev := 0
 	for wi, end := range bounds {
-		for i := prev; i < end; i++ {
-			if err := sd.Add(&evs[i]); err != nil {
-				t.Fatal(err)
-			}
+		r, err := trace.NewReader(bytes.NewReader(encodeEvents(t, evs[prev:end], 64)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := sd.Consume(r); err != nil || n != end-prev {
+			t.Fatalf("window %d: Consume = %d, %v; want %d events", wi, n, err, end-prev)
 		}
 		view, got, stats, err := sd.Derive(context.Background())
 		if err != nil {

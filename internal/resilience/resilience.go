@@ -171,8 +171,8 @@ func (b Backoff) Do(ctx context.Context, op func() error) error {
 
 // RetryReader wraps an io.Reader so transient read errors are retried
 // in place, invisibly to the consumer: the decode layer above only
-// ever sees clean bytes, a permanent error, or EOF — so a flaky read
-// is never misfiled as corruption.
+// ever sees clean bytes, a permanent error, a context error, or EOF —
+// so a flaky read is never misfiled as corruption.
 type RetryReader struct {
 	ctx context.Context
 	r   io.Reader
@@ -180,7 +180,8 @@ type RetryReader struct {
 }
 
 // NewRetryReader wraps r with the given retry policy. ctx bounds the
-// cumulative backoff sleeps.
+// cumulative backoff sleeps, and once it is done every Read fails with
+// ctx.Err().
 func NewRetryReader(ctx context.Context, r io.Reader, b Backoff) *RetryReader {
 	return &RetryReader{ctx: ctx, r: r, b: b}
 }
@@ -189,6 +190,9 @@ func NewRetryReader(ctx context.Context, r io.Reader, b Backoff) *RetryReader {
 // transient error is surfaced as the short read (n > 0), matching
 // io.Reader's contract; the retry happens on the caller's next Read.
 func (rr *RetryReader) Read(p []byte) (int, error) {
+	if err := rr.ctx.Err(); err != nil {
+		return 0, err
+	}
 	var n int
 	err := rr.b.Do(rr.ctx, func() error {
 		var rerr error

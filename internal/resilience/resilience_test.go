@@ -171,6 +171,25 @@ func TestRetryReaderPermanentError(t *testing.T) {
 	}
 }
 
+// TestRetryReaderCancelled: once ctx is done, a read fails with
+// ctx.Err() without touching the source, even with no retry policy.
+func TestRetryReaderCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	src := &flakyReader{r: strings.NewReader("payload")}
+	rr := NewRetryReader(ctx, src, Backoff{})
+	p := make([]byte, 3)
+	if n, err := rr.Read(p); n != 3 || err != nil {
+		t.Fatalf("live read = %d, %v", n, err)
+	}
+	cancel()
+	if n, err := rr.Read(p); n != 0 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled read = %d, %v; want 0, context.Canceled", n, err)
+	}
+	if src.calls != 1 {
+		t.Errorf("source read %d times, want 1", src.calls)
+	}
+}
+
 type errReader struct{ err error }
 
 func (e *errReader) Read([]byte) (int, error) { return 0, e.err }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -431,9 +432,9 @@ type Reader struct {
 	blocks   uint64 // CRC-verified sync blocks entered so far
 
 	reports []CorruptionReport
-	skipped int64
 	err     error // sticky terminal state
 	pending error // header corruption to recover from on first Read (lenient)
+	growing bool  // the source may still grow (a Follower's poll); see confirmed
 }
 
 // NewReader validates the header of r and returns a strict Reader: any
@@ -450,10 +451,10 @@ func NewReaderOptions(r io.Reader, opts ReaderOptions) (*Reader, error) {
 	br := bufio.NewReaderSize(cnt, 1<<16)
 	tr := &Reader{br: br, cnt: cnt, opts: opts}
 	if err := tr.readHeader(); err != nil {
-		// Lenient mode tolerates a *corrupt* header, not a flaky read:
-		// a transient I/O failure propagates so the caller can retry
-		// the same bytes instead of resynchronizing past them.
-		if !opts.Lenient || resilience.IsTransient(err) {
+		// Lenient mode tolerates a *corrupt* header, not an
+		// interrupted read: that propagates so the caller can read the
+		// same bytes again instead of resynchronizing past them.
+		if !opts.Lenient || interrupted(err) {
 			return nil, err
 		}
 		tr.version = FormatV2
@@ -466,9 +467,10 @@ func NewReaderOptions(r io.Reader, opts ReaderOptions) (*Reader, error) {
 // does not start with a trace header: the continuation of a trace from
 // any sync-block boundary. Every v2 block carries the absolute
 // sequence number and timestamp it resets the delta chains to, so
-// decoding can start at any block without the preceding bytes. The
-// tail-follower uses this to resume a growing trace from its committed
-// offset instead of re-reading from 0.
+// decoding can start at any block without the preceding bytes.
+// Offsets count from the start of r; a Follower's poll reader instead
+// counts them from the committed offset it resumes at, so its reports
+// and LastBlockEnd are file offsets.
 func NewContinuationReader(r io.Reader, opts ReaderOptions) *Reader {
 	cnt := &countingReader{r: r}
 	return &Reader{br: bufio.NewReaderSize(cnt, 1<<16), cnt: cnt, opts: opts, version: FormatV2}
@@ -513,11 +515,39 @@ func (r *Reader) HeaderLen() int64 { return r.hdrLen }
 
 // Corruptions returns the corruption reports accumulated so far in
 // lenient mode. The slice is owned by the Reader; do not modify it.
-func (r *Reader) Corruptions() []CorruptionReport { return r.reports }
+// A Follower's reader leaves out reports that no later verified block
+// confirms (see Follower.Poll).
+func (r *Reader) Corruptions() []CorruptionReport { return r.reports[:r.confirmed()] }
 
 // BytesSkipped reports the total payload bytes discarded during
-// resynchronization.
-func (r *Reader) BytesSkipped() int64 { return r.skipped }
+// resynchronization, over the reports Corruptions returns.
+func (r *Reader) BytesSkipped() int64 {
+	var n int64
+	for _, rep := range r.Corruptions() {
+		n += rep.BytesSkipped
+	}
+	return n
+}
+
+// confirmed returns how many reports are final: all of them, unless
+// the source may still grow. Then a report at or past the last
+// verified block may be a block the producer is still writing, and is
+// final only once a later verified block confirms it.
+func (r *Reader) confirmed() int {
+	i := len(r.reports)
+	for r.growing && i > 0 && r.reports[i-1].Offset >= r.blockEnd {
+		i--
+	}
+	return i
+}
+
+// interrupted reports whether err stopped a read without saying
+// anything about the trace: a transient I/O failure or a done context.
+// A lenient Reader passes such an error on instead of charging it as
+// corruption, so the caller can read the same bytes again.
+func interrupted(err error) bool {
+	return resilience.IsTransient(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
 
 // offset is the absolute stream position of the next unread byte.
 func (r *Reader) offset() int64 { return r.cnt.n - int64(r.br.Buffered()) }
@@ -679,7 +709,6 @@ func (r *Reader) recoverV1(cause error) error {
 	}
 	n, _ := io.Copy(io.Discard, r.br)
 	rep.BytesSkipped = n
-	r.skipped += n
 	r.opts.Metrics.skippedBytes(n)
 	return io.EOF
 }
@@ -693,11 +722,11 @@ func (r *Reader) readV2(ev *Event) error {
 				return r.fail(io.EOF)
 			}
 			if err != nil {
-				// A transient I/O failure is not corruption: recovering
+				// An interrupted read is not corruption: recovering
 				// (resynchronizing and charging the error budget) would
-				// misfile a flaky read as damaged bytes. Propagate it;
-				// the caller retries the same region.
-				if !r.opts.Lenient || resilience.IsTransient(err) {
+				// misfile a flaky or cancelled read as damaged bytes.
+				// Propagate it; the caller reads the same region again.
+				if !r.opts.Lenient || interrupted(err) {
 					return r.fail(err)
 				}
 				if rerr := r.recover(err, r.offset()-start); rerr != nil {
@@ -727,7 +756,6 @@ func (r *Reader) readV2(ev *Event) error {
 		r.reports = append(r.reports, CorruptionReport{
 			Offset: r.blockOff + consumed, Cause: err, BytesSkipped: lost,
 		})
-		r.skipped += lost
 		r.opts.Metrics.corruption()
 		r.opts.Metrics.skippedBytes(lost)
 		if len(r.reports) > r.opts.MaxErrors {
@@ -810,8 +838,9 @@ func (r *Reader) Blocks() uint64 { return r.blocks }
 // sync block whose payload was read and CRC-verified — the safe resume
 // point for a tail-follower: every event before it has been decoded or
 // charged to a corruption report, and the bytes after it can be
-// re-read once the producer has appended more. It is 0 before the
-// first complete block (and always for v1 traces, which cannot be
+// re-read once the producer has appended more. Before the first
+// complete block it is where the reader started: 0, or a Follower's
+// committed offset (and always 0 for v1 traces, which cannot be
 // resumed mid-stream).
 func (r *Reader) LastBlockEnd() int64 { return r.blockEnd }
 
@@ -824,7 +853,6 @@ func (r *Reader) recover(cause error, lost int64) error {
 	for {
 		r.reports = append(r.reports, CorruptionReport{Offset: r.offset(), Cause: cause, BytesSkipped: lost})
 		rep := &r.reports[len(r.reports)-1]
-		r.skipped += lost
 		r.opts.Metrics.corruption()
 		r.opts.Metrics.skippedBytes(lost)
 		if len(r.reports) > r.opts.MaxErrors {
@@ -832,11 +860,10 @@ func (r *Reader) recover(cause error, lost int64) error {
 		}
 		n, err := r.scanSync()
 		rep.BytesSkipped += n
-		r.skipped += n
 		r.opts.Metrics.skippedBytes(n)
 		if err != nil {
-			if resilience.IsTransient(err) {
-				return err // flaky read mid-scan, not end of data: retry, don't salvage
+			if interrupted(err) {
+				return err // interrupted mid-scan, not end of data: retry, don't salvage
 			}
 			return io.EOF // ran out of data while scanning: salvage the prefix
 		}

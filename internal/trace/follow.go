@@ -20,20 +20,21 @@ type File interface {
 	Close() error
 }
 
-// Follower tails a growing v2 trace file. Each Poll decodes the events
-// appended since the previous Poll and commits its position only past
-// complete, CRC-verified sync blocks: a block the producer has written
-// halfway is rolled back and re-read on the next Poll instead of being
+// Follower tails a growing v2 trace file. Each Poll hands the
+// caller's consumer one Reader over the bytes appended since the
+// previous Poll and commits its position only past complete,
+// CRC-verified sync blocks: a block the producer has written halfway
+// is rolled back and re-read on the next Poll instead of being
 // reported as corruption. Genuinely damaged bytes are charged exactly
 // once — when a later sync marker proves the stream continues past
-// them — against the same error budget semantics as ReaderOptions.
+// them — against the same error budget semantics as ReaderOptions,
+// counted across polls.
 //
 // Transient I/O failures (a flaky NFS read, EINTR) are a third
-// category, distinct from both partial tails and corruption: with a
-// retry policy set (SetRetry), they are retried in place with capped
-// exponential backoff, are never charged against the corruption error
-// budget, and — even once retries are exhausted — never poison the
-// Follower: the interrupted region is simply re-read by the next Poll.
+// category, distinct from both partial tails and corruption: they are
+// retried in place per the retry policy (SetRetry), are never charged
+// against the corruption error budget, and — even once retries are
+// exhausted — never poison the Follower.
 //
 // A Follower never holds the whole trace in memory and never re-reads
 // committed bytes, so a long-running follow costs only the appended
@@ -45,8 +46,7 @@ type Follower struct {
 	sink  BlockSink
 	off   int64 // committed offset: everything before it is decoded
 
-	reports []CorruptionReport
-	skipped int64
+	charged int   // corruption reports committed across polls
 	err     error // sticky terminal state
 }
 
@@ -96,18 +96,11 @@ func (fw *Follower) Close() error { return fw.f.Close() }
 // the next Poll will read.
 func (fw *Follower) Offset() int64 { return fw.off }
 
-// Corruptions returns the corruption reports accumulated across all
-// polls, with offsets absolute in the trace file.
-func (fw *Follower) Corruptions() []CorruptionReport { return fw.reports }
-
-// BytesSkipped reports the total damaged payload bytes discarded.
-func (fw *Follower) BytesSkipped() int64 { return fw.skipped }
-
 func (fw *Follower) fail(err error) error {
-	if resilience.IsTransient(err) {
-		// A transient failure that out-lasted its retries is still not
-		// a property of the trace: report it, but leave the Follower
-		// usable — the next Poll re-reads the same region.
+	if interrupted(err) {
+		// A transient failure that out-lasted its retries, or a done
+		// context, is not a property of the trace: report it, but leave
+		// the Follower usable — the next Poll re-reads the same region.
 		return err
 	}
 	fw.err = err
@@ -126,30 +119,42 @@ func (fw *Follower) stat(ctx context.Context) (os.FileInfo, error) {
 	return st, err
 }
 
-// Poll decodes every complete sync block appended since the previous
-// Poll, calling fn for each event, and returns the number of events
-// delivered. A partial block at the end of the file (the producer is
-// mid-write) is not an error: Poll returns what it could decode and
-// the next Poll retries from the same boundary. An error from fn, a
-// truncated file, or unrecoverable corruption poisons the Follower;
-// transient I/O failures and context cancellation do not.
+// section returns a reader over n bytes of the file from off that
+// retries transient faults below the decoder, so a flaky read can
+// never masquerade as corruption, and fails once ctx is done.
+func (fw *Follower) section(ctx context.Context, off, n int64) io.Reader {
+	return resilience.NewRetryReader(ctx, io.NewSectionReader(fw.f, off, n), fw.retry)
+}
+
+// Poll hands consume a Reader over the bytes appended since the
+// previous Poll and returns consume's event count. consume must read r
+// until Read fails, be done with r when it returns, and return the
+// error Read returned, wrapped or not, unless it is io.EOF — as
+// db.DB.Consume does. r's offsets are file offsets, and because the
+// file may still grow, its Corruptions and BytesSkipped leave out any
+// report that no later verified block confirms: a consumer that folds
+// them on success, as db.DB.Consume does, stores exactly the reports
+// Poll commits.
 //
-// Cancelling ctx aborts the poll between events with ctx.Err(); the
-// committed offset does not advance, so the interrupted region is
-// re-read if the Follower is polled again.
-func (fw *Follower) Poll(ctx context.Context, fn func(*Event) error) (int, error) {
+// Poll commits through r.LastBlockEnd when the read ended at the end
+// of the data, even inside a block the producer is still writing
+// (io.ErrUnexpectedEOF: the next Poll re-reads that block), and when
+// it ended at corruption that a strict reader or an exhausted budget
+// cannot pass, after which the Follower is poisoned. It commits
+// nothing when consume failed on its own, which poisons the Follower
+// because consume may have read past the last event it applied; when
+// a transient failure outlasted its retries; or when ctx is done,
+// which fails r's next read from the file (r buffers 64 KB) and makes
+// Poll return ctx.Err(). A poll that commits nothing may have
+// delivered events that the next Poll delivers again.
+func (fw *Follower) Poll(ctx context.Context, consume func(*Reader) (int, error)) (int, error) {
 	if fw.err != nil {
 		return 0, fw.err
 	}
-	start := time.Now()
-	done := ctx.Done()
-	if done != nil {
-		select {
-		case <-done:
-			return 0, ctx.Err()
-		default:
-		}
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
+	start := time.Now()
 	st, err := fw.stat(ctx)
 	if err != nil {
 		return 0, fw.fail(err)
@@ -163,15 +168,7 @@ func (fw *Follower) Poll(ctx context.Context, fn func(*Event) error) (int, error
 		return 0, nil
 	}
 
-	// The retry wrapper absorbs transient read faults below the
-	// decoder, so a flaky read can never masquerade as corruption (it
-	// would otherwise be charged against the error budget when a later
-	// marker resynchronizes past it).
-	sec := io.NewSectionReader(fw.f, fw.off, size-fw.off)
-	var src io.Reader = sec
-	if fw.retry.Attempts > 1 {
-		src = resilience.NewRetryReader(ctx, sec, fw.retry)
-	}
+	src := fw.section(ctx, fw.off, size-fw.off)
 	var r *Reader
 	if fw.off == 0 {
 		r, err = NewReaderOptions(src, fw.opts)
@@ -187,47 +184,30 @@ func (fw *Follower) Poll(ctx context.Context, fn func(*Event) error) (int, error
 		}
 	} else {
 		r = NewContinuationReader(src, fw.opts)
+		r.cnt.n, r.blockEnd = fw.off, fw.off
+	}
+	r.growing = true
+
+	n, err := consume(r)
+	if err != nil {
+		switch {
+		case ctx.Err() != nil:
+			return n, ctx.Err()
+		case !errors.Is(err, r.err): // consume failed on its own
+			fw.err = err
+			return n, err
+		case interrupted(r.err):
+			return n, r.err
+		}
 	}
 
-	n := 0
-	var ev Event
-	var rerr error
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				return n, ctx.Err()
-			default:
-			}
-		}
-		rerr = r.Read(&ev)
-		if rerr != nil {
-			break
-		}
-		if err := fn(&ev); err != nil {
-			return n, fw.fail(err)
-		}
-		n++
-	}
-
-	// Commit only through the last complete block; bytes past it are
-	// re-read next Poll. Reports charged beyond the commit point are a
-	// partial tail, not corruption yet — drop them; if the bytes really
-	// are damaged, a future poll charges them once a later block
-	// appears. Reports before the commit point are final: shift them to
-	// absolute trace offsets and keep them.
 	commit := r.LastBlockEnd()
-	if fw.sink != nil && commit > 0 {
+	if fw.sink != nil && commit > fw.off {
 		// Re-read the exact committed range and persist it before the
 		// offset advances: a crash after CommitBlocks re-reads nothing,
 		// a crash before it re-reads and re-commits the same range.
-		raw := make([]byte, commit)
-		rsec := io.NewSectionReader(fw.f, fw.off, commit)
-		var rsrc io.Reader = rsec
-		if fw.retry.Attempts > 1 {
-			rsrc = resilience.NewRetryReader(ctx, rsec, fw.retry)
-		}
-		if _, err := io.ReadFull(rsrc, raw); err != nil {
+		raw := make([]byte, commit-fw.off)
+		if _, err := io.ReadFull(fw.section(ctx, fw.off, commit-fw.off), raw); err != nil {
 			fw.err = fmt.Errorf("trace: re-reading committed blocks for sink: %w", err)
 			return n, fw.err
 		}
@@ -236,24 +216,15 @@ func (fw *Follower) Poll(ctx context.Context, fn func(*Event) error) (int, error
 			return n, fw.err
 		}
 	}
-	for _, rep := range r.Corruptions() {
-		if rep.Offset < commit {
-			rep.Offset += fw.off
-			fw.reports = append(fw.reports, rep)
-			fw.skipped += rep.BytesSkipped
-		}
-	}
-	fw.off += commit
-	if fw.opts.Lenient && len(fw.reports) > fw.opts.MaxErrors {
+	fw.charged += len(r.Corruptions())
+	fw.off = commit
+	if fw.opts.Lenient && fw.charged > fw.opts.MaxErrors {
 		return n, fw.fail(fmt.Errorf("%w: error budget (%d) exhausted across polls", ErrCorrupt, fw.opts.MaxErrors))
 	}
 	fw.opts.Metrics.poll(start, n)
-	switch {
-	case rerr == io.EOF:
-		return n, nil
-	case errors.Is(rerr, io.ErrUnexpectedEOF):
-		return n, nil // mid-block truncation: the producer is still writing
-	default:
-		return n, fw.fail(rerr)
+	if err != nil && !errors.Is(r.err, io.ErrUnexpectedEOF) { // corruption or a failed read r cannot pass
+		fw.err = r.err
+		return n, r.err
 	}
+	return n, nil
 }

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"context"
+	"errors"
 	"os"
 	"testing"
 	"time"
 
 	"lockdoc/internal/faultinject"
+	"lockdoc/internal/obs"
 	"lockdoc/internal/resilience"
 )
 
@@ -22,7 +24,8 @@ func fastRetry() resilience.Backoff {
 
 // openFlaky writes raw to disk and opens it behind a FlakyFile that
 // fails the first failReads ReadAt calls (and failStats Stat calls)
-// with a transient fault.
+// with a transient fault. The Follower is lenient and records its
+// reader's instruments, so charged can read what its readers charged.
 func openFlaky(t *testing.T, raw []byte, failReads, failStats int) (*Follower, *faultinject.FlakyFile) {
 	t.Helper()
 	path := t.TempDir() + "/flaky.lkdc"
@@ -35,10 +38,14 @@ func openFlaky(t *testing.T, raw []byte, failReads, failStats int) (*Follower, *
 	}
 	t.Cleanup(func() { f.Close() })
 	flaky := &faultinject.FlakyFile{Inner: f, FailReads: failReads, FailStats: failStats}
-	fw := NewFollowerFile(flaky, ReaderOptions{Lenient: true, MaxErrors: 5})
+	fw := NewFollowerFile(flaky, ReaderOptions{Lenient: true, MaxErrors: 5, Metrics: NewMetrics(obs.NewRegistry())})
 	fw.SetRetry(fastRetry())
 	return fw, flaky
 }
+
+// charged returns the corruptions fw's readers charged, confirmed or
+// not (lockdoc_trace_corruptions_total).
+func charged(fw *Follower) uint64 { return fw.opts.Metrics.Corruptions.Value() }
 
 // TestFollowerRetriesTransientReads is the transient-vs-corruption
 // accounting pin: a fault-injected read that fails twice then succeeds
@@ -48,8 +55,8 @@ func TestFollowerRetriesTransientReads(t *testing.T) {
 	raw, events := v2Fixture(t, 40, 8)
 	fw, flaky := openFlaky(t, raw, 2, 0)
 
-	var got []Event
-	n, err := fw.Poll(context.Background(), collectInto(&got))
+	c := &collector{}
+	n, err := fw.Poll(context.Background(), c.consume)
 	if err != nil {
 		t.Fatalf("Poll with transient faults: %v", err)
 	}
@@ -61,13 +68,13 @@ func TestFollowerRetriesTransientReads(t *testing.T) {
 	}
 	// The budget accounting: zero corruption reports, zero skipped
 	// bytes, and the Follower not poisoned.
-	if len(fw.Corruptions()) != 0 {
-		t.Errorf("transient reads charged %d corruption reports: %v", len(fw.Corruptions()), fw.Corruptions())
+	if len(c.reports) != 0 || charged(fw) != 0 {
+		t.Errorf("transient reads charged %d corruption reports: %v", charged(fw), c.reports)
 	}
-	if fw.BytesSkipped() != 0 {
-		t.Errorf("transient reads charged %d skipped bytes", fw.BytesSkipped())
+	if c.skipped != 0 {
+		t.Errorf("transient reads charged %d skipped bytes", c.skipped)
 	}
-	if _, err := fw.Poll(context.Background(), collectInto(&got)); err != nil {
+	if _, err := fw.Poll(context.Background(), c.consume); err != nil {
 		t.Errorf("Follower poisoned by recovered transient faults: %v", err)
 	}
 }
@@ -77,8 +84,7 @@ func TestFollowerRetriesTransientReads(t *testing.T) {
 func TestFollowerRetriesTransientStat(t *testing.T) {
 	raw, events := v2Fixture(t, 20, 8)
 	fw, _ := openFlaky(t, raw, 0, 2)
-	var got []Event
-	n, err := fw.Poll(context.Background(), collectInto(&got))
+	n, err := fw.Poll(context.Background(), discard)
 	if err != nil {
 		t.Fatalf("Poll with transient Stat faults: %v", err)
 	}
@@ -95,24 +101,24 @@ func TestFollowerTransientExhaustionDoesNotPoison(t *testing.T) {
 	raw, events := v2Fixture(t, 40, 8)
 	fw, _ := openFlaky(t, raw, 50, 0) // more faults than 4 attempts absorb
 
-	var got []Event
-	if _, err := fw.Poll(context.Background(), collectInto(&got)); err == nil {
+	c := &collector{}
+	if _, err := fw.Poll(context.Background(), c.consume); err == nil {
 		t.Fatal("Poll must surface the exhausted transient error")
 	}
 	if off := fw.Offset(); off != 0 {
 		t.Errorf("exhausted transient poll committed offset %d, want 0", off)
 	}
-	if len(fw.Corruptions()) != 0 || fw.BytesSkipped() != 0 {
+	if len(c.reports) != 0 || c.skipped != 0 || charged(fw) != 0 {
 		t.Errorf("exhausted transient faults charged the corruption budget: %d reports, %d bytes",
-			len(fw.Corruptions()), fw.BytesSkipped())
+			charged(fw), c.skipped)
 	}
 
 	// Disk recovered (the 50-fault budget ate some calls; drain the
 	// rest by polling until clean).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		got = got[:0]
-		n, err := fw.Poll(context.Background(), collectInto(&got))
+		c = &collector{}
+		n, err := fw.Poll(context.Background(), c.consume)
 		if err == nil && n == len(events) {
 			break
 		}
@@ -120,8 +126,8 @@ func TestFollowerTransientExhaustionDoesNotPoison(t *testing.T) {
 			t.Fatalf("Follower never recovered: n=%d err=%v", n, err)
 		}
 	}
-	if len(fw.Corruptions()) != 0 {
-		t.Errorf("recovered polls charged %d corruption reports", len(fw.Corruptions()))
+	if len(c.reports) != 0 || charged(fw) != 0 {
+		t.Errorf("recovered polls charged %d corruption reports", charged(fw))
 	}
 }
 
@@ -133,18 +139,69 @@ func TestFollowerRetryBudgetVsRealCorruption(t *testing.T) {
 	bad := corruptBlock(t, raw, 2)
 	fw, flaky := openFlaky(t, bad, 2, 0)
 
-	var got []Event
-	if _, err := fw.Poll(context.Background(), collectInto(&got)); err != nil {
+	c := &collector{}
+	if _, err := fw.Poll(context.Background(), c.consume); err != nil {
 		t.Fatalf("Poll: %v", err)
 	}
 	if flaky.ReadCalls() < 3 {
 		t.Fatalf("fault never fired: %d read calls", flaky.ReadCalls())
 	}
-	if len(fw.Corruptions()) != 1 {
+	if len(c.reports) != 1 || charged(fw) != 1 {
 		t.Fatalf("error budget charged %d reports, want exactly 1 (the damaged block): %v",
-			len(fw.Corruptions()), fw.Corruptions())
+			charged(fw), c.reports)
 	}
-	if len(got) >= len(events) || len(got) == 0 {
-		t.Errorf("delivered %d events, want a non-empty subset of %d (one block dropped)", len(got), len(events))
+	if len(c.events) >= len(events) || len(c.events) == 0 {
+		t.Errorf("delivered %d events, want a non-empty subset of %d (one block dropped)", len(c.events), len(events))
+	}
+}
+
+// flakyFrom fails every read at or past file offset from with a
+// transient fault.
+type flakyFrom struct {
+	File
+	from int64
+}
+
+func (f flakyFrom) ReadAt(p []byte, off int64) (int, error) {
+	if off >= f.from {
+		return 0, resilience.MarkTransient(errors.New("injected read fault"))
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestFollowerCancelledBackoffChargesNothing cuts a retry backoff
+// short by cancelling the poll, once at the header and once in the
+// middle of the blocks (past the reader's first 64 KB). A lenient
+// reader must pass the cancellation on, not charge it as corruption:
+// the poll returns ctx.Err(), commits nothing, charges nothing, and a
+// later poll over a healthy file delivers every event.
+func TestFollowerCancelledBackoffChargesNothing(t *testing.T) {
+	raw, events := v2Fixture(t, 20000, 8)
+	if len(raw) <= 1<<16 {
+		t.Fatalf("fixture is %d bytes, want more than one 64 KB read", len(raw))
+	}
+	for _, from := range []int64{0, 1 << 16} {
+		fw, _ := openFlaky(t, raw, 0, 0)
+		healthy := fw.f
+		fw.f = flakyFrom{File: healthy, from: from}
+		ctx, cancel := context.WithCancel(context.Background())
+		fw.SetRetry(resilience.Backoff{Attempts: 4, Sleep: func(ctx context.Context, _ time.Duration) error {
+			cancel()
+			return ctx.Err()
+		}})
+		c := &collector{}
+		if _, err := fw.Poll(ctx, c.consume); !errors.Is(err, context.Canceled) {
+			t.Fatalf("fault at %d: Poll = %v, want context.Canceled", from, err)
+		}
+		if fw.Offset() != 0 || charged(fw) != 0 || len(c.reports) != 0 {
+			t.Fatalf("fault at %d: cancelled backoff committed offset %d and charged %d corruption(s)",
+				from, fw.Offset(), charged(fw))
+		}
+
+		fw.f = healthy
+		c = &collector{}
+		if n := mustPoll(t, fw, c.consume); n != len(events) || charged(fw) != 0 || len(c.reports) != 0 {
+			t.Fatalf("fault at %d: later poll delivered %d of %d events, charged %d", from, n, len(events), charged(fw))
+		}
 	}
 }

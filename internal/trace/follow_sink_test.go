@@ -42,8 +42,8 @@ func TestFollowerSinkReceivesCommittedBytes(t *testing.T) {
 	sink := &memSink{}
 	fw.SetSink(sink)
 
-	var got []Event
-	collect := collectInto(&got)
+	c := &collector{}
+	collect := c.consume
 
 	// Nothing committed yet: the sink must not be called.
 	mustPoll(t, fw, collect)
@@ -73,8 +73,8 @@ func TestFollowerSinkReceivesCommittedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evs) != len(got) {
-		t.Fatalf("replaying sunk bytes gave %d events, follower delivered %d", len(evs), len(got))
+	if len(evs) != len(c.events) {
+		t.Fatalf("replaying sunk bytes gave %d events, follower delivered %d", len(evs), len(c.events))
 	}
 }
 
@@ -95,14 +95,13 @@ func TestFollowerSinkFailurePoisons(t *testing.T) {
 	boom := errors.New("disk full")
 	fw.SetSink(&memSink{failOn: 1, err: boom})
 
-	var got []Event
-	if _, err := fw.Poll(context.Background(), collectInto(&got)); !errors.Is(err, boom) {
+	if _, err := fw.Poll(context.Background(), discard); !errors.Is(err, boom) {
 		t.Fatalf("Poll error = %v, want sink failure", err)
 	}
 	if fw.Offset() != 0 {
 		t.Fatalf("offset advanced to %d past a failed commit", fw.Offset())
 	}
-	if _, err := fw.Poll(context.Background(), collectInto(&got)); !errors.Is(err, boom) {
+	if _, err := fw.Poll(context.Background(), discard); !errors.Is(err, boom) {
 		t.Fatalf("follower not poisoned after sink failure: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -38,17 +39,39 @@ func (g *growingTrace) append(b []byte) {
 	}
 }
 
-// collectInto returns a Poll callback appending decoded events to *dst.
-func collectInto(dst *[]Event) func(*Event) error {
-	return func(ev *Event) error {
-		*dst = append(*dst, *ev)
-		return nil
+// collector is a Poll consumer that works the way db.DB.Consume does:
+// it reads every event of the poll and, once the reader ends cleanly,
+// folds the reader's corruption reports into its own ledger.
+type collector struct {
+	events  []Event
+	reports []CorruptionReport
+	skipped int64
+}
+
+func (c *collector) consume(r *Reader) (int, error) {
+	n := 0
+	for {
+		var ev Event
+		err := r.Read(&ev)
+		if err == io.EOF {
+			c.reports = append(c.reports, r.Corruptions()...)
+			c.skipped += r.BytesSkipped()
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		c.events = append(c.events, ev)
+		n++
 	}
 }
 
-func mustPoll(t *testing.T, fw *Follower, fn func(*Event) error) int {
+// discard is a consumer for tests that only watch the Follower.
+func discard(r *Reader) (int, error) { return new(collector).consume(r) }
+
+func mustPoll(t *testing.T, fw *Follower, consume func(*Reader) (int, error)) int {
 	t.Helper()
-	n, err := fw.Poll(context.Background(), fn)
+	n, err := fw.Poll(context.Background(), consume)
 	if err != nil {
 		t.Fatalf("Poll: %v", err)
 	}
@@ -95,8 +118,8 @@ func TestFollowerDeliversAcrossPolls(t *testing.T) {
 	}
 	defer fw.Close()
 
-	var got []Event
-	collect := collectInto(&got)
+	c := &collector{}
+	collect := c.consume
 
 	// Empty file, then a half-written header: nothing to deliver, no error.
 	if n := mustPoll(t, fw, collect); n != 0 {
@@ -127,12 +150,12 @@ func TestFollowerDeliversAcrossPolls(t *testing.T) {
 	if n := mustPoll(t, fw, collect); n != 0 {
 		t.Fatalf("idle poll delivered %d events", n)
 	}
-	if !reflect.DeepEqual(got, events) {
+	if !reflect.DeepEqual(c.events, events) {
 		t.Error("followed events differ from the written trace")
 	}
-	if len(fw.Corruptions()) != 0 || fw.BytesSkipped() != 0 {
+	if len(c.reports) != 0 || c.skipped != 0 {
 		t.Errorf("clean follow reported corruption: %d reports, %d bytes",
-			len(fw.Corruptions()), fw.BytesSkipped())
+			len(c.reports), c.skipped)
 	}
 }
 
@@ -153,22 +176,22 @@ func TestFollowerRetriesPartialTailBlock(t *testing.T) {
 	}
 	defer fw.Close()
 
-	var got []Event
-	if n := mustPoll(t, fw, collectInto(&got)); n != 8 {
+	c := &collector{}
+	if n := mustPoll(t, fw, c.consume); n != 8 {
 		t.Fatalf("poll over partial block delivered %d events, want 8 (first block only)", n)
 	}
 	if fw.Offset() != int64(markers[1]) {
 		t.Fatalf("Offset() = %d, want %d: partial tail must not be committed", fw.Offset(), markers[1])
 	}
-	if len(fw.Corruptions()) != 0 {
-		t.Fatalf("partial tail charged as corruption: %v", fw.Corruptions())
+	if len(c.reports) != 0 {
+		t.Fatalf("partial tail charged as corruption: %v", c.reports)
 	}
 
 	g.append(raw[cut:])
-	if n := mustPoll(t, fw, collectInto(&got)); n != len(events)-8 {
+	if n := mustPoll(t, fw, c.consume); n != len(events)-8 {
 		t.Fatalf("completed tail delivered %d events, want %d", n, len(events)-8)
 	}
-	if !reflect.DeepEqual(got, events) {
+	if !reflect.DeepEqual(c.events, events) {
 		t.Error("events after tail retry differ from the written trace")
 	}
 }
@@ -188,11 +211,11 @@ func TestFollowerLenientChargesInteriorCorruptionOnce(t *testing.T) {
 	}
 	defer fw.Close()
 
-	var got []Event
-	if n := mustPoll(t, fw, collectInto(&got)); n != len(events)-8 {
+	c := &collector{}
+	if n := mustPoll(t, fw, c.consume); n != len(events)-8 {
 		t.Fatalf("delivered %d events, want %d (one block lost)", n, len(events)-8)
 	}
-	reps := fw.Corruptions()
+	reps := c.reports
 	if len(reps) != 1 {
 		t.Fatalf("%d corruption reports, want 1: %v", len(reps), reps)
 	}
@@ -202,11 +225,11 @@ func TestFollowerLenientChargesInteriorCorruptionOnce(t *testing.T) {
 	if off := reps[0].Offset; off <= int64(markers[1]) || off > int64(markers[2]) {
 		t.Errorf("report offset %d outside damaged block (%d,%d]", off, markers[1], markers[2])
 	}
-	if fw.BytesSkipped() == 0 {
+	if c.skipped == 0 {
 		t.Error("BytesSkipped() = 0 after a skipped block")
 	}
-	if n := mustPoll(t, fw, collectInto(&got)); n != 0 || len(fw.Corruptions()) != 1 {
-		t.Fatalf("idle poll delivered %d events with %d reports; corruption re-charged", n, len(fw.Corruptions()))
+	if n := mustPoll(t, fw, c.consume); n != 0 || len(c.reports) != 1 {
+		t.Fatalf("idle poll delivered %d events with %d reports; corruption re-charged", n, len(c.reports))
 	}
 }
 
@@ -230,13 +253,13 @@ func TestFollowerDefersTailCorruptionUntilStreamContinues(t *testing.T) {
 	}
 	defer fw.Close()
 
-	var got []Event
+	c := &collector{}
 	wantFirst := 8 * last // every block before the damaged one
-	if n := mustPoll(t, fw, collectInto(&got)); n != wantFirst {
+	if n := mustPoll(t, fw, c.consume); n != wantFirst {
 		t.Fatalf("delivered %d events, want %d", n, wantFirst)
 	}
-	if len(fw.Corruptions()) != 0 {
-		t.Fatalf("tail damage charged while it could still be a partial write: %v", fw.Corruptions())
+	if len(c.reports) != 0 || c.skipped != 0 {
+		t.Fatalf("tail damage charged while it could still be a partial write: %v", c.reports)
 	}
 	if fw.Offset() != int64(markers[last]) {
 		t.Fatalf("Offset() = %d, want %d", fw.Offset(), markers[last])
@@ -244,17 +267,24 @@ func TestFollowerDefersTailCorruptionUntilStreamContinues(t *testing.T) {
 
 	cont := continuationBlocks(t, 8, 8)
 	g.append(cont)
-	n2 := mustPoll(t, fw, collectInto(&got))
+	n2 := mustPoll(t, fw, c.consume)
 	if n2 != 8 {
 		t.Fatalf("continuation poll delivered %d events, want 8", n2)
 	}
-	if len(fw.Corruptions()) != 1 {
-		t.Fatalf("%d corruption reports after the stream continued, want exactly 1", len(fw.Corruptions()))
+	if len(c.reports) != 1 {
+		t.Fatalf("%d corruption reports after the stream continued, want exactly 1", len(c.reports))
 	}
-	if n := mustPoll(t, fw, collectInto(&got)); n != 0 || len(fw.Corruptions()) != 1 {
-		t.Fatalf("idle poll re-charged: n=%d reports=%d", n, len(fw.Corruptions()))
+	// The report is at a file offset, inside the damaged last block.
+	if off := c.reports[0].Offset; off <= int64(markers[last]) || off > int64(len(bad)) {
+		t.Errorf("report offset %d outside the damaged block (%d,%d]", off, markers[last], len(bad))
 	}
-	_ = events
+	if n := mustPoll(t, fw, c.consume); n != 0 || len(c.reports) != 1 {
+		t.Fatalf("idle poll re-charged: n=%d reports=%d", n, len(c.reports))
+	}
+	// The damaged block's 8 events are lost, the continuation's 8 gained.
+	if len(c.events) != len(events) {
+		t.Errorf("delivered %d events in all, want %d", len(c.events), len(events))
+	}
 }
 
 // TestFollowerStrictFailsOnCorruption: without Lenient the first
@@ -269,11 +299,11 @@ func TestFollowerStrictFailsOnCorruption(t *testing.T) {
 	}
 	defer fw.Close()
 
-	_, err = fw.Poll(context.Background(), func(*Event) error { return nil })
+	_, err = fw.Poll(context.Background(), discard)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Poll = %v, want ErrCorrupt", err)
 	}
-	if _, err2 := fw.Poll(context.Background(), func(*Event) error { return nil }); err2 != err {
+	if _, err2 := fw.Poll(context.Background(), discard); err2 != err {
 		t.Fatalf("second Poll = %v, want the sticky first error", err2)
 	}
 }
@@ -293,7 +323,7 @@ func TestFollowerBudgetAccumulatesAcrossPolls(t *testing.T) {
 	}
 	defer fw.Close()
 
-	if _, err := fw.Poll(context.Background(), func(*Event) error { return nil }); err != nil {
+	if _, err := fw.Poll(context.Background(), discard); err != nil {
 		t.Fatalf("first corruption within budget, got %v", err)
 	}
 
@@ -302,7 +332,7 @@ func TestFollowerBudgetAccumulatesAcrossPolls(t *testing.T) {
 	badCont := append([]byte(nil), cont...)
 	badCont[cm[0]+(cm[1]-cm[0])/2] ^= 0x10
 	g.append(badCont)
-	if _, err := fw.Poll(context.Background(), func(*Event) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	if _, err := fw.Poll(context.Background(), discard); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("second corruption must exhaust the cumulative budget, got %v", err)
 	}
 }
@@ -329,7 +359,7 @@ func TestFollowerRejectsV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fw.Close()
-	if _, err := fw.Poll(context.Background(), func(*Event) error { return nil }); err == nil || !strings.Contains(err.Error(), "cannot follow") {
+	if _, err := fw.Poll(context.Background(), discard); err == nil || !strings.Contains(err.Error(), "cannot follow") {
 		t.Fatalf("Poll on v1 trace = %v, want cannot-follow error", err)
 	}
 }
@@ -345,19 +375,22 @@ func TestFollowerFailsOnTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fw.Close()
-	if n := mustPoll(t, fw, func(*Event) error { return nil }); n != len(events) {
+	if n := mustPoll(t, fw, discard); n != len(events) {
 		t.Fatalf("delivered %d events, want %d", n, len(events))
 	}
 	if err := os.Truncate(g.path, int64(len(raw)/2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fw.Poll(context.Background(), func(*Event) error { return nil }); err == nil || !strings.Contains(err.Error(), "truncated") {
+	if _, err := fw.Poll(context.Background(), discard); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("Poll after truncation = %v, want truncation error", err)
 	}
 }
 
-// TestFollowerPropagatesCallbackError: an error from the event callback
-// poisons the Follower with that exact error.
+// TestFollowerPropagatesCallbackError: an error of the consumer's own
+// poisons the Follower with that exact error and commits nothing, even
+// though the reader verified every block: a consumer that reads ahead
+// (db.DB.Consume decodes up to a ring past the event it applies) may
+// have read past the last event it applied.
 func TestFollowerPropagatesCallbackError(t *testing.T) {
 	raw, _ := v2Fixture(t, 24, 8)
 	g := newGrowingTrace(t)
@@ -367,11 +400,19 @@ func TestFollowerPropagatesCallbackError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fw.Close()
+	sink := &memSink{}
+	fw.SetSink(sink)
 	boom := errors.New("downstream store rejected the event")
-	if _, err := fw.Poll(context.Background(), func(*Event) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("Poll = %v, want the callback error", err)
+	if _, err := fw.Poll(context.Background(), func(r *Reader) (int, error) {
+		n, _ := discard(r)
+		return n, boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("Poll = %v, want the consumer error", err)
 	}
-	if _, err := fw.Poll(context.Background(), func(*Event) error { return nil }); !errors.Is(err, boom) {
-		t.Fatalf("sticky Poll = %v, want the callback error", err)
+	if fw.Offset() != 0 || len(sink.commits) != 0 {
+		t.Fatalf("consumer error committed: offset %d, %d sink commits", fw.Offset(), len(sink.commits))
+	}
+	if _, err := fw.Poll(context.Background(), discard); !errors.Is(err, boom) {
+		t.Fatalf("sticky Poll = %v, want the consumer error", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"lockdoc/internal/obs"
@@ -71,44 +72,54 @@ func TestReaderMetricsCorruption(t *testing.T) {
 	}
 }
 
+// TestFollowerPollCancellation cancels from inside the consumer. The
+// reader still decodes what it has buffered, then fails its next read
+// from the file, so of a region larger than its 64 KB buffer only part
+// is delivered. The poll returns ctx.Err() without poisoning the
+// follower, committing the offset or charging the lenient budget.
 func TestFollowerPollCancellation(t *testing.T) {
+	raw, events := v2Fixture(t, 20000, 8)
+	if len(raw) <= 1<<16 {
+		t.Fatalf("fixture is %d bytes, want more than one 64 KB read", len(raw))
+	}
 	g := newGrowingTrace(t)
-	g.append(metricsTrace(t))
-	fw, err := NewFollower(g.path, ReaderOptions{})
+	g.append(raw)
+	m := NewMetrics(obs.NewRegistry())
+	fw, err := NewFollower(g.path, ReaderOptions{Lenient: true, MaxErrors: 4, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fw.Close()
 
-	// Cancel mid-poll: the callback cancels after the first event, the
-	// next between-events check must abort with ctx.Err() without
-	// poisoning the follower or committing the offset.
 	ctx, cancel := context.WithCancel(context.Background())
-	n := 0
-	_, err = fw.Poll(ctx, func(*Event) error {
-		n++
+	c := &collector{}
+	n, err := fw.Poll(ctx, func(r *Reader) (int, error) {
 		cancel()
-		return nil
+		return c.consume(r)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled poll error = %v, want context.Canceled", err)
 	}
-	if n != 1 {
-		t.Errorf("callback ran %d times after cancel, want 1", n)
+	if n == 0 || n >= len(events) {
+		t.Errorf("cancelled poll delivered %d of %d events, want part of them", n, len(events))
 	}
 	if fw.Offset() != 0 {
 		t.Errorf("cancelled poll committed offset %d, want 0", fw.Offset())
 	}
+	if m.Corruptions.Value() != 0 || len(c.reports) != 0 {
+		t.Errorf("cancelled poll charged %d corruption(s)", m.Corruptions.Value())
+	}
 
 	// A fresh context resumes from the uncommitted boundary and decodes
-	// everything, including the event delivered before cancellation.
-	var evs []Event
-	if got := mustPoll(t, fw, collectInto(&evs)); got != 16 {
-		t.Errorf("resumed poll delivered %d events, want 16", got)
+	// everything, including the events delivered before cancellation.
+	c = &collector{}
+	if got := mustPoll(t, fw, c.consume); got != len(events) || !reflect.DeepEqual(c.events, events) {
+		t.Errorf("resumed poll delivered %d events, want all %d", got, len(events))
 	}
 
 	// An already-cancelled context aborts before any I/O.
-	if _, err := fw.Poll(ctx, func(*Event) error { t.Error("callback ran"); return nil }); !errors.Is(err, context.Canceled) {
+	g.append(raw[:10])
+	if _, err := fw.Poll(ctx, func(*Reader) (int, error) { t.Error("consumer ran"); return 0, nil }); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled poll error = %v, want context.Canceled", err)
 	}
 }
@@ -123,14 +134,14 @@ func TestFollowerPollMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fw.Close()
-	var evs []Event
-	mustPoll(t, fw, collectInto(&evs))
-	mustPoll(t, fw, collectInto(&evs)) // empty poll still counts
+	c := &collector{}
+	mustPoll(t, fw, c.consume)
+	mustPoll(t, fw, c.consume) // empty poll still counts
 	if got := m.Polls.Value(); got != 2 {
 		t.Errorf("polls = %d, want 2", got)
 	}
-	if got := m.PollEvents.Sum(); got != float64(len(evs)) {
-		t.Errorf("poll_events sum = %g, want %d", got, len(evs))
+	if got := m.PollEvents.Sum(); got != float64(len(c.events)) {
+		t.Errorf("poll_events sum = %g, want %d", got, len(c.events))
 	}
 	if m.PollSeconds.Count() != 2 {
 		t.Errorf("poll_seconds count = %d, want 2", m.PollSeconds.Count())
