@@ -79,5 +79,5 @@ func (db *DB) Summary() string {
 		"%d data types, %d locks, %d functions, %d contexts, %d allocations; "+
 			"%d raw accesses (%d filtered), %d transactions, %d observation groups",
 		len(db.Types), len(db.Locks), len(db.Funcs), len(db.Ctxs), len(db.Allocs),
-		db.RawAccesses, db.FilteredAccesses, db.Transactions, len(db.groups))
+		db.RawAccesses, db.FilteredAccesses, db.Transactions, db.nGroups)
 }

@@ -1,6 +1,9 @@
 package db
 
 import (
+	"bytes"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"lockdoc/internal/trace"
@@ -622,6 +625,115 @@ func TestHeldKeyMemoSplitsESAndEO(t *testing.T) {
 		want := map[string]uint64{"ES(lock in obj)": 1, "EO(lock in obj)": 1}
 		if len(got) != len(want) || got["ES(lock in obj)"] != 1 || got["EO(lock in obj)"] != 1 {
 			t.Errorf("%s: sequences = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestHugeAllocationCostsO1: importing an allocation costs the same
+// whatever its size, and so does defining a type whose members lie far
+// out. Each trace holds one allocation of up to 4 GiB and writes near
+// its end; it must import with under 1 MB allocated (most of it
+// Consume's ring), and each write must resolve as the member rules say:
+// to the member at its offset, even one whose end passes 2^32, or, for
+// an interior access into such a member, to none.
+func TestHugeAllocationCostsO1(t *testing.T) {
+	const base = 0x1000_0000
+	for _, c := range []struct {
+		size   uint32
+		member uint32 // offset of the member "far", 8 bytes long
+		writes []uint64
+		want   uint64 // writes resolved to far
+	}{
+		{size: 1 << 24, member: 1<<24 - 8, writes: []uint64{1<<24 - 8, 1<<24 - 4}, want: 2},
+		{size: 1<<32 - 8, member: 1<<32 - 16, writes: []uint64{1<<32 - 16, 1<<32 - 9, 1<<32 - 8}, want: 2},
+		{size: 1<<32 - 1, member: 1<<32 - 8, writes: []uint64{1<<32 - 8, 1<<32 - 4}, want: 1},
+	} {
+		var evs []trace.Event
+		evs = append(evs,
+			trace.Event{Kind: trace.KindDefType, TypeID: 1, TypeName: "huge", Members: []trace.MemberDef{
+				{Name: "first", Offset: 0, Size: 8}, {Name: "far", Offset: c.member, Size: 8}}},
+			trace.Event{Kind: trace.KindAlloc, AllocID: 1, TypeID: 1, Addr: base, Size: c.size})
+		for _, off := range c.writes {
+			evs = append(evs, trace.Event{Kind: trace.KindWrite, Addr: base + off, AccessSize: 1, FuncID: 1})
+		}
+		evs = append(evs, trace.Event{Kind: trace.KindFree, AllocID: 1})
+		data := encodeTrace(t, evs, 0)
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := trace.NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Import(r, Config{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("size %d: import allocated %d bytes, want under 1 MB", c.size, n)
+		}
+		var got uint64
+		if g, ok := d.Group("huge", "", "far", true); ok {
+			got = g.EventSum
+		}
+		if got != c.want || d.UnresolvedAddrs != uint64(len(c.writes))-c.want {
+			t.Errorf("size %d: %d writes resolved to far and %d unresolved, want %d and %d",
+				c.size, got, d.UnresolvedAddrs, c.want, uint64(len(c.writes))-c.want)
+		}
+	}
+}
+
+// memberScan is the member rule stated directly: the last member at
+// exactly off, else the first whose bytes cover off in 32-bit offset
+// arithmetic, else -1.
+func memberScan(ms []trace.MemberDef, off uint32) int {
+	mi := -1
+	for i, m := range ms {
+		if m.Offset == off {
+			mi = i
+		}
+	}
+	if mi >= 0 {
+		return mi
+	}
+	for i, m := range ms {
+		if m.Offset <= off && off < m.Offset+m.Size {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestMemberTableMatchesScan checks the per-type member table against
+// memberScan on random types, with members near offset 0 and near 2^32,
+// unions, gaps and members whose end passes 2^32, at every offset where
+// the answer may change and on either side of it.
+func TestMemberTableMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < 300; n++ {
+		ms := make([]trace.MemberDef, rng.Intn(12))
+		for i := range ms {
+			off := uint32(rng.Intn(48))
+			if rng.Intn(3) == 0 {
+				off = 1<<32 - 1 - uint32(rng.Intn(48))
+			}
+			ms[i] = trace.MemberDef{Offset: off, Size: []uint32{0, 1, 2, 4, 8, 16, 1 << 31}[rng.Intn(7)]}
+		}
+		table := newMemberTable(ms)
+		offs := []uint32{0, 1<<32 - 1}
+		for _, m := range ms {
+			for _, o := range []uint32{m.Offset, m.Offset + m.Size} {
+				offs = append(offs, o-1, o, o+1)
+			}
+		}
+		for _, off := range offs {
+			if got, want := table.lookup(off), memberScan(ms, off); got != want {
+				t.Fatalf("members %v: offset %d resolves to %d, want %d", ms, off, got, want)
+			}
+		}
+		if len(table.start) > 3*len(ms)+1 {
+			t.Fatalf("members %v: %d pieces", ms, len(table.start))
 		}
 	}
 }

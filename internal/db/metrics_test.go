@@ -70,7 +70,7 @@ func TestStoreMetrics(t *testing.T) {
 	if m.SealSeconds.Count() != 1 {
 		t.Errorf("seal_seconds count = %d, want 1", m.SealSeconds.Count())
 	}
-	if got, want := m.GroupsLive.Value(), int64(len(view.groups)); got != want {
+	if got, want := m.GroupsLive.Value(), int64(view.GroupCount()); got != want {
 		t.Errorf("groups_live = %d, want %d", got, want)
 	}
 	if view.metrics != m {

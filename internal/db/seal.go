@@ -1,6 +1,7 @@
 package db
 
 import (
+	"slices"
 	"time"
 
 	"lockdoc/internal/trace"
@@ -38,7 +39,8 @@ func (db *DB) Seal() *DB {
 		// reallocates.
 		keys:    db.keys[:len(db.keys):len(db.keys)],
 		keyIDs:  copyMap(db.keyIDs),
-		groups:  make(map[GroupKey]*ObsGroup, len(db.groups)),
+		rows:    make([][]*ObsGroup, len(db.rows)),
+		nGroups: db.nGroups,
 		subbed:  db.subbed,
 		blFuncs: db.blFuncs,
 		blMembs: db.blMembs,
@@ -61,9 +63,13 @@ func (db *DB) Seal() *DB {
 		Corruptions:       append([]trace.CorruptionReport(nil), db.Corruptions...),
 		BytesSkipped:      db.BytesSkipped,
 	}
-	for gk, g := range db.groups {
-		g.shared = true
-		view.groups[gk] = g
+	for r, row := range db.rows {
+		for _, g := range row {
+			if g != nil {
+				g.shared = true
+			}
+		}
+		view.rows[r] = slices.Clone(row)
 	}
 	// Finalize the open transactions on the view only, in exactly the
 	// order Flush would use, so the view equals batch-import output.
@@ -82,7 +88,7 @@ func (db *DB) Seal() *DB {
 	}
 	view.metrics = db.metrics
 	db.gen++
-	db.metrics.seal(start, len(view.groups))
+	db.metrics.seal(start, view.nGroups)
 	return view
 }
 
@@ -96,12 +102,16 @@ func (db *DB) Generation() uint64 { return db.gen }
 // DirtyGroupsSince counts the observation groups of db whose merged
 // contents differ from (or do not exist in) the older sealed view old.
 // Copy-on-write sealing makes pointer sharing equivalent to "content
-// unchanged", so this is a single map sweep.
+// unchanged", so this is a single sweep. A group keeps its place in the
+// rows of every view of one store, so it is compared with the group in
+// the same place in old; views of different stores share no group.
 func (db *DB) DirtyGroupsSince(old *DB) int {
 	n := 0
-	for gk, g := range db.groups {
-		if old == nil || old.groups[gk] != g {
-			n++
+	for r, row := range db.rows {
+		for i, g := range row {
+			if g != nil && (old == nil || r >= len(old.rows) || i >= len(old.rows[r]) || old.rows[r][i] != g) {
+				n++
+			}
 		}
 	}
 	db.metrics.dirty(n)

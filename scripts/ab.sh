@@ -1,0 +1,128 @@
+#!/bin/sh
+# A/B a micro-benchmark of the root package: build its test binary at a
+# base revision (checked out in a git worktree under a temporary
+# directory) and from the working tree, run the benchmarks a -bench
+# regexp selects K times on each side, alternating which side runs
+# first, and print for each benchmark and side the ms/op of every run,
+# their median and quartiles (the exclusive method `bench compare`
+# uses) and how many of the K pairs that side won.
+#
+# Usage: scripts/ab.sh [-n K] [-t benchtime] [-c cpu-list] base-rev bench-regexp
+#
+# K defaults to 5 and benchtime to 10x; -c passes -test.cpu to both
+# sides. Each binary runs from the root of its own checkout, so testdata
+# paths resolve as under go test. Example:
+#
+#   scripts/ab.sh -n 5 -t 15x HEAD~1 'BenchmarkImport$'
+set -eu
+
+usage() {
+	echo "usage: scripts/ab.sh [-n K] [-t benchtime] [-c cpu-list] base-rev bench-regexp" >&2
+	exit 2
+}
+
+runs=5
+benchtime=10x
+cpu=
+while getopts n:t:c: opt; do
+	case "$opt" in
+	n) runs="$OPTARG" ;;
+	t) benchtime="$OPTARG" ;;
+	c) cpu="$OPTARG" ;;
+	*) usage ;;
+	esac
+done
+shift $((OPTIND - 1))
+[ $# -eq 2 ] || usage
+base="$1"
+pattern="$2"
+
+cd "$(dirname "$0")/.."
+root="$(pwd)"
+tmp="$(mktemp -d)"
+cleanup() {
+	git worktree remove --force "$tmp/base" 2>/dev/null || true
+	rm -rf "$tmp"
+}
+trap cleanup EXIT
+trap 'exit 130' INT TERM
+
+git worktree add --quiet --detach "$tmp/base" "$base"
+(cd "$tmp/base" && go test -c -o "$tmp/base.test" .)
+go test -c -o "$tmp/change.test" .
+
+# bench <side> <dir> <run>: run one side's binary once from dir and
+# append a "side run benchmark ns/op" line per benchmark to results.
+bench() {
+	(cd "$2" && "$tmp/$1.test" -test.run '^$' -test.bench "$pattern" \
+		-test.benchtime "$benchtime" -test.benchmem -test.timeout 60m ${cpu:+-test.cpu "$cpu"}) |
+		awk -v side="$1" -v run="$3" '/^Benchmark/ {
+			for (k = 3; k < NF; k++) if ($(k + 1) == "ns/op") print side, run, $1, $k
+		}' >>"$tmp/results"
+}
+
+i=1
+while [ "$i" -le "$runs" ]; do
+	if [ $((i % 2)) -eq 1 ]; then
+		bench base "$tmp/base" "$i"
+		bench change "$root" "$i"
+	else
+		bench change "$root" "$i"
+		bench base "$tmp/base" "$i"
+	fi
+	echo "ab.sh: pair $i of $runs done" >&2
+	i=$((i + 1))
+done
+
+awk -v base="$base" '
+function sortv(a, n,    i, j, t) {
+	for (i = 2; i <= n; i++)
+		for (j = i; j > 1 && a[j - 1] > a[j]; j--) {
+			t = a[j]; a[j] = a[j - 1]; a[j - 1] = t
+		}
+}
+# cut returns the k-th of the three cut points of the sorted a[1..n]
+# into four groups, by the exclusive method.
+function cut(a, n, k,    m, j, d) {
+	if (n == 1) return a[1]
+	m = n + 1
+	j = int(k * m / 4)
+	if (j < 1) j = 1
+	if (j > n - 1) j = n - 1
+	d = k * m - j * 4
+	return (a[j] * (4 - d) + a[j + 1] * d) / 4
+}
+{
+	if (!($3 in seen)) { seen[$3] = 1; names[++nn] = $3 }
+	ns[$1, $3, $2] = $4
+	if ($2 > maxrun) maxrun = $2
+}
+END {
+	split("base change", sides, " ")
+	for (b = 1; b <= nn; b++) {
+		name = names[b]
+		printf "%s (ms/op; base %s against the working tree)\n", name, base
+		printf "  %-7s %-44s %9s %21s %4s\n", "side", "runs, sorted", "median", "[q1 q3]", "won"
+		won["base"] = 0; won["change"] = 0
+		for (r = 1; r <= maxrun; r++) {
+			if (!(("base", name, r) in ns) || !(("change", name, r) in ns)) continue
+			x = ns["base", name, r]; y = ns["change", name, r]
+			if (x < y) won["base"]++
+			else if (y < x) won["change"]++
+		}
+		for (s = 1; s <= 2; s++) {
+			side = sides[s]; n = 0; list = ""
+			for (r = 1; r <= maxrun; r++)
+				if ((side, name, r) in ns) v[++n] = ns[side, name, r] / 1e6
+			if (n == 0) continue
+			sortv(v, n)
+			for (k = 1; k <= n; k++) list = list sprintf("%s%.1f", k > 1 ? " " : "", v[k])
+			med[side] = cut(v, n, 2)
+			rel = ""
+			if (side == "change" && med["base"] > 0)
+				rel = sprintf(" (%+.1f%%)", 100 * (med[side] - med["base"]) / med["base"])
+			printf "  %-7s %-44s %9.1f %21s %4d%s\n", side, list, med[side],
+				sprintf("[%.1f %.1f]", cut(v, n, 1), cut(v, n, 3)), won[side], rel
+		}
+	}
+}' "$tmp/results"
