@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 
 	"lockdoc/internal/db"
@@ -25,14 +26,26 @@ import (
 //   - pos: the greedy subsequence-match position, or -1 once the path
 //     stopped being a subsequence of the sequence.
 //
-// Extending a node by lock k drops sequences with no unused occurrence
-// of k, advances pos for the rest, and sums s_a over the sequences
-// whose pos is still valid — greedy leftmost matching decides
-// subsequence-ness exactly, so the node's s_a is final the moment it is
-// created. Every distinct candidate is visited exactly once (children
-// are the distinct keys remaining across active sequences), so no
-// signature map is needed, and all per-node work happens in scratch
-// buffers owned by the miner and reused across groups.
+// Mining a group first flattens its sequences into one array of
+// positions. Each position p carries two masks over its sequence:
+// same[p], the positions holding the same lock, and before[p], those of
+// them left of p. A node then makes one scan over its active states.
+// A free position p with before[p] inside used is the first unused
+// occurrence of its lock, the one the path consumes when it appends
+// that lock: the child state gets used | 1<<p, and its match position
+// is one past the first position of same[p] at or after pos (none: the
+// extended path is no longer a subsequence). The child state lands in
+// its lock's bucket, and the sequence's count is added to the bucket's
+// s_a when the match holds — greedy leftmost matching decides
+// subsequence-ness exactly, so a child's s_a is final once the scan
+// ends. A sequence with no unused occurrence of a lock adds nothing to
+// that lock's bucket: it drops out of the child's projection. The
+// buckets, one per distinct extension lock, are then visited in the
+// order the scan opened them. Every distinct candidate is visited
+// exactly once, so no signature map is needed, and all per-node work
+// happens in scratch buffers owned by the miner and reused across
+// groups. Repeated locks in one sequence need no case of their own: the
+// masks cover them.
 //
 // Threshold pruning: s_a is anti-monotone under hypothesis extension
 // (appending a lock can only lose supporting observations — see
@@ -44,12 +57,13 @@ import (
 // therefore byte-identical to the unpruned reference
 // (TestMinerMatchesReference, FuzzDeriveEquivalence).
 type miner struct {
-	nodes  []minerNode  // trie arena, reset per group
-	seqs   []*db.SeqObs // flattened observation sequences of the group
-	levels [][]seqState // per-depth projected active lists
-	exts   [][]db.KeyID // per-depth distinct extension keys
-	stamp  []uint32     // per-KeyID generation marks for ext dedup
-	gen    uint32
+	nodes   []minerNode  // trie arena, reset per group
+	seqs    []minerSeq   // the group's observation sequences, flattened
+	posns   []minerPos   // every position of every sequence, in order
+	root    []seqState   // the root's active list
+	buckets [][]bucket   // per-depth children of the node being expanded
+	stamp   []stampEntry // per-KeyID bucket of the current node
+	gen     uint32       // current node's stamp generation
 
 	// Scratch-materialization state (work-stealing engine workers with
 	// an interner). In prune mode the cut-off keeps only a handful of
@@ -79,12 +93,41 @@ type minerNode struct {
 	sa     uint64
 }
 
+// minerSeq is one observed sequence of the group being mined.
+type minerSeq struct {
+	off   int32  // index of its first position in miner.posns
+	full  uint64 // one bit per position
+	count uint64 // folded observations (the s_a unit)
+}
+
+// minerPos is one position of a flattened sequence.
+type minerPos struct {
+	key    db.KeyID
+	same   uint64 // positions of the sequence holding key, this one included
+	before uint64 // the positions of same left of this one
+}
+
 // seqState is the projection of one observed sequence onto the current
 // trie node.
 type seqState struct {
 	idx  int32  // index into miner.seqs
 	pos  int32  // greedy subsequence-match position; -1 = not a subsequence
 	used uint64 // bitmask of consumed sequence positions
+}
+
+// bucket collects one child of the node being expanded: the lock it
+// appends, its support and its projected active list.
+type bucket struct {
+	key    db.KeyID
+	sa     uint64
+	states []seqState
+}
+
+// stampEntry maps a KeyID to its bucket; it is valid only while gen
+// equals the miner's current generation, so nodes need no clearing.
+type stampEntry struct {
+	gen    uint32
+	bucket int32
 }
 
 // maxMinerSeqLen bounds the used-position bitmask; groups observing a
@@ -114,20 +157,17 @@ func (m *miner) derive(g *db.ObsGroup, opt Options) Result {
 // Hypothesis per surviving node. It reports false when the group is
 // beyond the engine's sequence-length limit.
 func (m *miner) mine(g *db.ObsGroup, opt Options) ([]Hypothesis, bool) {
-	m.seqs = m.seqs[:0]
-	longest := 0
-	for _, so := range g.Seqs {
-		if len(so.Seq) > longest {
-			longest = len(so.Seq)
-		}
-		m.seqs = append(m.seqs, so)
-	}
-	if longest > maxMinerSeqLen {
+	m.nodes = m.nodes[:0]
+	longest, ok := m.flatten(g)
+	if !ok {
 		return nil, false
 	}
 	m.maxLen = longest
 	if opt.MaxLocks > 0 && opt.MaxLocks < longest {
 		m.maxLen = opt.MaxLocks
+	}
+	for len(m.buckets) < m.maxLen {
+		m.buckets = append(m.buckets, nil)
 	}
 	m.total = float64(g.Total)
 	m.prune = opt.CutoffThreshold > 0
@@ -135,15 +175,48 @@ func (m *miner) mine(g *db.ObsGroup, opt Options) ([]Hypothesis, bool) {
 
 	// Root: the "no lock needed" hypothesis; every observation
 	// trivially complies.
-	m.nodes = m.nodes[:0]
 	m.nodes = append(m.nodes, minerNode{parent: -1, sa: g.Total})
-	root := m.level(0)[:0]
+	m.root = m.root[:0]
 	for i := range m.seqs {
-		root = append(root, seqState{idx: int32(i)})
+		m.root = append(m.root, seqState{idx: int32(i)})
 	}
-	m.levels[0] = root
-	m.expand(0, 0, root)
+	m.expand(0, 0, m.root)
 	return m.materialize(), true
+}
+
+// flatten lays g's sequences out in seqs and posns, with each
+// position's masks, and sizes the stamp table for their keys. It
+// returns the longest sequence's length, or false when a sequence is
+// longer than the projection bitmask.
+func (m *miner) flatten(g *db.ObsGroup) (int, bool) {
+	m.seqs, m.posns = m.seqs[:0], m.posns[:0]
+	longest, maxKey := 0, -1
+	for _, so := range g.Seqs {
+		s := so.Seq
+		if len(s) > maxMinerSeqLen {
+			return 0, false
+		}
+		longest = max(longest, len(s))
+		m.seqs = append(m.seqs, minerSeq{
+			off: int32(len(m.posns)), full: uint64(1)<<uint(len(s)) - 1, count: so.Count,
+		})
+		for p, k := range s {
+			var same uint64
+			for q, kq := range s {
+				if kq == k {
+					same |= 1 << uint(q)
+				}
+			}
+			m.posns = append(m.posns, minerPos{key: k, same: same, before: same & (1<<uint(p) - 1)})
+			maxKey = max(maxKey, int(k))
+		}
+	}
+	if maxKey >= len(m.stamp) {
+		grown := make([]stampEntry, 2*(maxKey+1))
+		copy(grown, m.stamp)
+		m.stamp = grown
+	}
+	return longest, true
 }
 
 // scratchActive reports whether materialize may write into the reused
@@ -155,82 +228,71 @@ func (m *miner) mine(g *db.ObsGroup, opt Options) ([]Hypothesis, bool) {
 func (m *miner) scratchActive() bool { return m.scratch && m.prune }
 
 // expand generates all children of the node at nodeIdx (depth levels
-// below the root) and recurses into the surviving subtrees.
+// below the root) in one scan of its active states, then recurses into
+// the surviving subtrees.
 func (m *miner) expand(nodeIdx int32, depth int, active []seqState) {
 	if depth == m.maxLen {
 		return
 	}
-
-	// Distinct extension keys: every key with an unused occurrence in
-	// at least one active sequence, deduplicated with generation marks.
-	exts := m.extLevel(depth)[:0]
 	m.gen++
-	if m.gen == 0 { // generation counter wrapped: invalidate all marks
+	if m.gen == 0 { // generation counter wrapped: invalidate all stamps
 		clear(m.stamp)
 		m.gen = 1
 	}
 	gen := m.gen
+	bk := m.buckets[depth][:0]
 	for _, st := range active {
-		s := m.seqs[st.idx].Seq
-		for p, k := range s {
-			if st.used&(1<<uint(p)) != 0 {
-				continue
+		sq := &m.seqs[st.idx]
+		for free := sq.full &^ st.used; free != 0; free &= free - 1 {
+			p := bits.TrailingZeros64(free)
+			mp := &m.posns[int(sq.off)+p]
+			if mp.before&^st.used != 0 {
+				continue // an earlier occurrence of this lock is unused
 			}
-			if int(k) >= len(m.stamp) {
-				m.growStamp(int(k) + 1)
+			se := &m.stamp[mp.key]
+			if se.gen != gen {
+				se.gen, se.bucket = gen, int32(len(bk))
+				bk = openBucket(bk, mp.key)
 			}
-			if m.stamp[k] == gen {
-				continue
+			b := &bk[se.bucket]
+			cst := seqState{idx: st.idx, pos: -1, used: st.used | 1<<uint(p)}
+			if st.pos >= 0 {
+				// Greedy leftmost subsequence matching: the extended
+				// path complies iff the lock occurs at or after the
+				// parent's match position.
+				if rest := mp.same & (^uint64(0) << uint(st.pos)); rest != 0 {
+					cst.pos = int32(bits.TrailingZeros64(rest)) + 1
+					b.sa += sq.count
+				}
 			}
-			m.stamp[k] = gen
-			exts = append(exts, k)
+			b.states = append(b.states, cst)
 		}
 	}
-	m.exts[depth] = exts
+	m.buckets[depth] = bk
 
-	for _, k := range exts {
-		child := m.level(depth + 1)[:0]
-		var sa uint64
-		for _, st := range active {
-			s := m.seqs[st.idx].Seq
-			// Consume one unused occurrence of k; a sequence with
-			// none left stops being a permutation superset and
-			// drops out of the projection.
-			found := -1
-			for p := range s {
-				if st.used&(1<<uint(p)) == 0 && s[p] == k {
-					found = p
-					break
-				}
-			}
-			if found < 0 {
-				continue
-			}
-			cst := seqState{idx: st.idx, pos: -1, used: st.used | 1<<uint(found)}
-			if st.pos >= 0 {
-				// Greedy leftmost subsequence matching: the
-				// extended path complies iff k occurs at or after
-				// the parent's match position.
-				for p := st.pos; p < int32(len(s)); p++ {
-					if s[p] == k {
-						cst.pos = p + 1
-						sa += m.seqs[st.idx].Count
-						break
-					}
-				}
-			}
-			child = append(child, cst)
-		}
-		if m.prune && float64(sa)/m.total < m.bound {
+	for i := range bk {
+		b := &bk[i]
+		if m.prune && float64(b.sa)/m.total < m.bound {
 			continue // s_a is anti-monotone: the whole subtree is dead
 		}
-		m.levels[depth+1] = child
 		ci := int32(len(m.nodes))
 		m.nodes = append(m.nodes, minerNode{
-			parent: nodeIdx, depth: int32(depth) + 1, key: k, sa: sa,
+			parent: nodeIdx, depth: int32(depth) + 1, key: b.key, sa: b.sa,
 		})
-		m.expand(ci, depth+1, child)
+		m.expand(ci, depth+1, b.states)
 	}
+}
+
+// openBucket appends an empty bucket for key, reusing the states buffer
+// an earlier node left in that slot.
+func openBucket(bk []bucket, key db.KeyID) []bucket {
+	if len(bk) == cap(bk) {
+		return append(bk, bucket{key: key})
+	}
+	bk = bk[:len(bk)+1]
+	b := &bk[len(bk)-1]
+	b.key, b.sa, b.states = key, 0, b.states[:0]
+	return bk
 }
 
 // materialize converts the node arena into the Hypothesis slice the
@@ -278,24 +340,4 @@ func (m *miner) materialize() []Hypothesis {
 		hyps[i].Seq = seg
 	}
 	return hyps
-}
-
-func (m *miner) level(d int) []seqState {
-	for len(m.levels) <= d {
-		m.levels = append(m.levels, nil)
-	}
-	return m.levels[d]
-}
-
-func (m *miner) extLevel(d int) []db.KeyID {
-	for len(m.exts) <= d {
-		m.exts = append(m.exts, nil)
-	}
-	return m.exts[d]
-}
-
-func (m *miner) growStamp(n int) {
-	grown := make([]uint32, 2*n)
-	copy(grown, m.stamp)
-	m.stamp = grown
 }
