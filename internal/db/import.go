@@ -97,7 +97,7 @@ type DB struct {
 	// internal streaming state
 	addrs       addrindex.Index[*Allocation] // live allocations by address
 	ctxState    map[uint32]*ctxState
-	stackBlMemo map[uint32]int8 // stackID -> -1 not blacklisted / 1 blacklisted
+	stackBlMemo map[uint32]int8 // interned stackID -> -1 not blacklisted / 1 blacklisted
 	noWoR       bool
 	lenient     bool
 	metrics     *Metrics
@@ -615,30 +615,38 @@ func (db *DB) place(r int32, member int, write bool, members int) **ObsGroup {
 	return &db.rows[r][i]
 }
 
-// stackBlacklisted reports whether any frame of the stack is
-// black-listed, memoized per stack ID.
+// stackBlacklisted reports whether any frame of the access's stack is
+// black-listed. An access without an interned stack (stack 0) is also
+// black-listed by its innermost function, so its answer is not
+// memoized; interned stacks are memoized per stack ID.
 func (db *DB) stackBlacklisted(stackID uint32, innermost uint32) bool {
+	if stackID == 0 {
+		return db.funcBlacklisted(innermost) || db.framesBlacklisted(db.Stacks[0])
+	}
 	if v, ok := db.stackBlMemo[stackID]; ok {
 		return v > 0
 	}
-	bl := false
-	for _, fid := range db.Stacks[stackID] {
-		if f := db.Funcs[fid]; f != nil && db.blFuncs[f.Name] {
-			bl = true
-			break
-		}
-	}
-	if !bl && stackID == 0 { // top-level access without interned stack
-		if f := db.Funcs[innermost]; f != nil && db.blFuncs[f.Name] {
-			bl = true
-		}
-	}
+	bl := db.framesBlacklisted(db.Stacks[stackID])
 	v := int8(-1)
 	if bl {
 		v = 1
 	}
 	db.stackBlMemo[stackID] = v
 	return bl
+}
+
+func (db *DB) framesBlacklisted(frames []uint32) bool {
+	for _, fid := range frames {
+		if db.funcBlacklisted(fid) {
+			return true
+		}
+	}
+	return false
+}
+
+func (db *DB) funcBlacklisted(fid uint32) bool {
+	f := db.Funcs[fid]
+	return f != nil && db.blFuncs[f.Name]
 }
 
 func (db *DB) access(ev *trace.Event) {

@@ -348,6 +348,29 @@ func TestFilters(t *testing.T) {
 	}
 }
 
+// TestFiltersStackZero pins that an access without an interned stack
+// (stack 0) is black-listed by its own innermost function: a filtered
+// stack-0 write from a black-listed function must not decide the next
+// stack-0 write.
+func TestFiltersStackZero(t *testing.T) {
+	f := newFeeder(t, Config{FuncBlacklist: []string{"init"}})
+	f.defType(1, "obj", trace.MemberDef{Name: "x", Offset: 0, Size: 8})
+	f.defFunc(1, "a.c", 1, "init")
+	f.defFunc(2, "a.c", 9, "f")
+	f.alloc(1, 1, 1, 0x1000, 8, "")
+	f.write(1, 0x1000, 1, 0) // filtered: from init
+	f.write(1, 0x1000, 2, 0) // kept: from f
+	f.db.Flush()
+
+	if f.db.FilteredAccesses != 1 {
+		t.Errorf("FilteredAccesses = %d, want 1", f.db.FilteredAccesses)
+	}
+	g, ok := f.db.Group("obj", "", "x", true)
+	if !ok || g.Total != 1 {
+		t.Fatalf("x group total = %v, want 1 observation", g)
+	}
+}
+
 func TestSubclassing(t *testing.T) {
 	f := newFeeder(t, Config{SubclassedTypes: []string{"inode"}})
 	f.defType(1, "inode", trace.MemberDef{Name: "i_state", Offset: 0, Size: 8})
