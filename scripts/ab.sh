@@ -1,34 +1,38 @@
 #!/bin/sh
-# A/B a micro-benchmark of the root package: build its test binary at a
-# base revision (checked out in a git worktree under a temporary
-# directory) and from the working tree, run the benchmarks a -bench
-# regexp selects K times on each side, alternating which side runs
-# first, and print for each benchmark and side the ms/op of every run,
-# their median and quartiles (the exclusive method `bench compare`
-# uses) and how many of the K pairs that side won.
+# A/B a micro-benchmark of one package: build its test binary at a base
+# revision (exported with git archive into a temporary directory) and
+# from the working tree, run the benchmarks a -bench regexp selects K
+# times on each side, alternating which side runs first, and print for
+# each benchmark and side the ms/op of every run, their median and
+# quartiles (the exclusive method `bench compare` uses) and how many of
+# the K pairs that side won.
 #
-# Usage: scripts/ab.sh [-n K] [-t benchtime] [-c cpu-list] base-rev bench-regexp
+# Usage: scripts/ab.sh [-n K] [-t benchtime] [-c cpu-list] [-p package] base-rev bench-regexp
 #
-# K defaults to 5 and benchtime to 10x; -c passes -test.cpu to both
-# sides. Each binary runs from the root of its own checkout, so testdata
-# paths resolve as under go test. Example:
+# K defaults to 5, benchtime to 10x and the package to the root one
+# (.); -c passes -test.cpu to both sides. Each binary runs from its
+# package's directory in its own checkout, so testdata paths resolve as
+# under go test. Examples:
 #
 #   scripts/ab.sh -n 5 -t 15x HEAD~1 'BenchmarkImport$'
+#   scripts/ab.sh -p ./internal/core HEAD~1 'BenchmarkDeriveEngine/trie/full$'
 set -eu
 
 usage() {
-	echo "usage: scripts/ab.sh [-n K] [-t benchtime] [-c cpu-list] base-rev bench-regexp" >&2
+	echo "usage: scripts/ab.sh [-n K] [-t benchtime] [-c cpu-list] [-p package] base-rev bench-regexp" >&2
 	exit 2
 }
 
 runs=5
 benchtime=10x
 cpu=
-while getopts n:t:c: opt; do
+pkg=.
+while getopts n:t:c:p: opt; do
 	case "$opt" in
 	n) runs="$OPTARG" ;;
 	t) benchtime="$OPTARG" ;;
 	c) cpu="$OPTARG" ;;
+	p) pkg="$OPTARG" ;;
 	*) usage ;;
 	esac
 done
@@ -40,21 +44,23 @@ pattern="$2"
 cd "$(dirname "$0")/.."
 root="$(pwd)"
 tmp="$(mktemp -d)"
-cleanup() {
-	git worktree remove --force "$tmp/base" 2>/dev/null || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 
-git worktree add --quiet --detach "$tmp/base" "$base"
-(cd "$tmp/base" && go test -c -o "$tmp/base.test" .)
-go test -c -o "$tmp/change.test" .
+git rev-parse --quiet --verify "$base^{commit}" >/dev/null || {
+	echo "ab.sh: unknown revision $base" >&2
+	exit 2
+}
+mkdir "$tmp/base"
+git archive "$base" | tar -x -C "$tmp/base"
+(cd "$tmp/base" && go test -c -o "$tmp/base.test" "$pkg")
+go test -c -o "$tmp/change.test" "$pkg"
 
-# bench <side> <dir> <run>: run one side's binary once from dir and
-# append a "side run benchmark ns/op" line per benchmark to results.
+# bench <side> <checkout> <run>: run one side's binary once from its
+# package directory and append a "side run benchmark ns/op" line per
+# benchmark to results.
 bench() {
-	(cd "$2" && "$tmp/$1.test" -test.run '^$' -test.bench "$pattern" \
+	(cd "$2/$pkg" && "$tmp/$1.test" -test.run '^$' -test.bench "$pattern" \
 		-test.benchtime "$benchtime" -test.benchmem -test.timeout 60m ${cpu:+-test.cpu "$cpu"}) |
 		awk -v side="$1" -v run="$3" '/^Benchmark/ {
 			for (k = 3; k < NF; k++) if ($(k + 1) == "ns/op") print side, run, $1, $k
