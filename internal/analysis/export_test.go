@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"lockdoc/internal/core"
@@ -83,4 +84,55 @@ func TestWriteViolationsJSON(t *testing.T) {
 	if exs[0].Location == "" || exs[0].Rule == "" {
 		t.Errorf("incomplete violation: %+v", exs[0])
 	}
+}
+
+// FuzzAppendJSON holds the writer to encoding/json, its oracle. A
+// value decoded from valid JSON must encode to exactly the bytes of an
+// Encoder with SetEscapeHTML(false) and SetIndent("", "  "), and the
+// input's compact form must indent to exactly json.Indent's output.
+func FuzzAppendJSON(f *testing.F) {
+	for _, s := range []string{
+		`{}`, `[]`, `{"a":{},"b":[[],{}],"c":[{}]}`, `[[[]],{"x":{"y":[]}}]`,
+		`"a \"quoted\" \\ back\\slash\\\\"`, `{"k\\":"\\\"","\"":[" "]}`,
+		`"<a> & <b>"`, `{"rule":"ES(i_lock in inode) -> EO(s_lock)"}`,
+		`"héllo wörld, 日本語,   😀"`,
+		`1e-7`, `[-0.0000001,1e21,123456789012345678,true,false,null]`,
+		` { "spaced" : [ 1 , 2 ] } `,
+		strings.Repeat(`[`, 40) + strings.Repeat(`]`, 40),
+		strings.Repeat(`{"d":[`, 40) + `0` + strings.Repeat(`]}`, 40),
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !json.Valid(data) {
+			return
+		}
+		var v any
+		if json.Unmarshal(data, &v) == nil {
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			enc.SetEscapeHTML(false)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(v); err != nil {
+				t.Fatal(err)
+			}
+			got, err := AppendJSON(nil, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("AppendJSON differs from the Encoder:\n--- got ---\n%s--- want ---\n%s", got, want.Bytes())
+			}
+		}
+		var compact, want bytes.Buffer
+		if err := json.Compact(&compact, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Indent(&want, compact.Bytes(), "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendIndent(nil, compact.Bytes()); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendIndent(%q) differs from json.Indent:\n--- got ---\n%s\n--- want ---\n%s", compact.Bytes(), got, want.Bytes())
+		}
+	})
 }

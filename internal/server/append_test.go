@@ -139,6 +139,7 @@ func postAppend(t testing.TB, s *Server, body []byte) appendResp {
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("append: status %d: %s", rec.Code, rec.Body.String())
 	}
+	checkLength(t, rec, "append")
 	var resp struct {
 		Data appendResp `json:"data"`
 	}

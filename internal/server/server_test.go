@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -70,6 +72,14 @@ func do(t testing.TB, s *Server, method, target string, body io.Reader) *httptes
 	return rec
 }
 
+// checkLength fails unless the response declares its body's length.
+func checkLength(t testing.TB, rec *httptest.ResponseRecorder, what string) {
+	t.Helper()
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+		t.Errorf("%s: Content-Length %q for a %d-byte body", what, cl, rec.Body.Len())
+	}
+}
+
 func TestHandlers(t *testing.T) {
 	s := newLoadedServer(t)
 	tests := []struct {
@@ -111,6 +121,9 @@ func TestHandlers(t *testing.T) {
 			if tt.wantBody != "" && !strings.Contains(rec.Body.String(), tt.wantBody) {
 				t.Errorf("%s %s: body does not contain %q:\n%s",
 					tt.method, tt.path, tt.wantBody, rec.Body.String())
+			}
+			if strings.HasPrefix(tt.path, "/v1/") {
+				checkLength(t, rec, tt.method+" "+tt.path)
 			}
 		})
 	}
@@ -368,8 +381,32 @@ func TestJSONReadRoutesByteIdentical(t *testing.T) {
 			if got := rec.Body.String(); got != want.String() {
 				t.Errorf("%s %s: body differs from the library rendering:\n--- got ---\n%s--- want ---\n%s", name, c.path, got, want.String())
 			}
+			checkLength(t, rec, name+" "+c.path)
 		}
 	}
+}
+
+// TestWriteDataEncodeFailure: a payload that does not encode gets a
+// 500 envelope with its length, not the success status and no body.
+func TestWriteDataEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeData(rec, http.StatusOK, []float64{math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %s", rec.Code, rec.Body.String())
+	}
+	var env struct {
+		Error struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Error.Code != "internal" || !strings.Contains(env.Error.Message, "NaN") {
+		t.Errorf("envelope = %+v, want an internal error naming the NaN", env.Error)
+	}
+	checkLength(t, rec, "encode failure")
 }
 
 // TestConcurrentReloadWhileQuerying hammers every read endpoint while
