@@ -183,7 +183,7 @@ func (c *Client) do(ctx context.Context, method, rawPath string, q url.Values, b
 			lastErr = err
 			continue
 		}
-		data, err := io.ReadAll(resp.Body)
+		data, err := readBody(resp)
 		resp.Body.Close()
 		if err != nil {
 			lastErr = err
@@ -200,6 +200,26 @@ func (c *Client) do(ctx context.Context, method, rawPath string, q url.Values, b
 		return resp, data, nil
 	}
 	return nil, nil, lastErr
+}
+
+// maxPrealloc caps the buffer a declared Content-Length gets before
+// the body arrives. A longer body still reads, growing as it comes, so
+// a header that lies about the length cannot make the client allocate
+// it. The largest /v1 bodies of the simulated kernel mix are a few
+// hundred kilobytes.
+const maxPrealloc = 16 << 20
+
+// readBody reads a response body into one buffer when the response
+// declares its length, instead of io.ReadAll's doubling from 512
+// bytes. The read still runs to the end of the body, so a truncated
+// body is an error (io.ErrUnexpectedEOF) and the connection is reused.
+func readBody(resp *http.Response) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxPrealloc {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 func decodeAPIError(resp *http.Response, body []byte) *APIError {
