@@ -20,8 +20,8 @@ import (
 // scans the other workers' cursors and steals their unclaimed tail,
 // one group at a time. With balanced shards stealing is rare, so in
 // the common case a worker's entire pass runs on worker-private state:
-// its own miner (arena, projection scratch), its own interner, its own
-// tally — no pool, no shared counter.
+// the miner it takes from minerPool once per pass (arena, projection
+// scratch), its own interner, its own tally — no shared counter.
 //
 // Work stealing keeps the assignment honest: group mining cost is only
 // estimated (groupWeight), and a shard that turns out heavy is drained
@@ -162,12 +162,14 @@ func (e *mineEngine) claim(w int, ownDone *bool) (gi int32, stole bool) {
 	return -1, false
 }
 
-// run is one worker's pass: a private miner (its trie arena and
-// projection scratch live for the whole pass, no sync.Pool) and a
-// private interner, claiming from its shard until the engine runs dry.
+// run is one worker's pass: a miner from minerPool, held for the whole
+// pass, so its trie arena and projection scratch carry over from
+// earlier passes as on the one-worker path, and a private interner,
+// claiming from its shard until the engine runs dry.
 func (e *mineEngine) run(w int) {
 	defer e.wg.Done()
-	var m miner
+	m := minerPool.Get().(*miner)
+	defer minerPool.Put(m)
 	var si *seqInterner
 	if e.tab != nil {
 		si = e.tab.interner()
@@ -190,7 +192,7 @@ func (e *mineEngine) run(w int) {
 			e.aborted.Store(true)
 			break
 		}
-		e.out[gi] = mineOne(&m, si, g, e.opt)
+		e.out[gi] = mineOne(m, si, g, e.opt)
 		t.claims++
 		if stole {
 			t.steals++
