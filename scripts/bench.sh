@@ -15,12 +15,34 @@
 # Each file stores the raw benchmark lines in benchstat-friendly form
 # next to machine metadata.
 #
-# Usage: scripts/bench.sh [benchtime]   (default 2x; use e.g. 5s for
-# steadier numbers on quiet machines)
+# Usage: scripts/bench.sh [benchtime] [derive|segstore|ingest|serve ...]
+#
+# benchtime defaults to 2x (use e.g. 5s for steadier numbers on quiet
+# machines). The names choose the pins to rewrite, so a change to one
+# layer re-pins only its own file; with no names all four are pinned.
+#
+#   scripts/bench.sh 200x serve      # BENCH_serve.json alone
 set -eu
 
 cd "$(dirname "$0")/.."
-benchtime="${1:-2x}"
+benchtime=2x
+case "${1:-}" in
+derive | segstore | ingest | serve | "") ;;
+*)
+	benchtime="$1"
+	shift
+	;;
+esac
+[ $# -gt 0 ] || set -- derive segstore ingest serve
+for name in "$@"; do
+	case "$name" in
+	derive | segstore | ingest | serve) ;;
+	*)
+		echo "bench.sh: unknown pin '$name': want derive, segstore, ingest or serve" >&2
+		exit 2
+		;;
+	esac
+done
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
@@ -73,7 +95,11 @@ pin() {
 	echo "wrote $out"
 }
 
-pin BENCH_derive.json Derive . ./internal/core/
-pin BENCH_segstore.json Segstore .
-pin BENCH_ingest.json 'BenchmarkImport$|BenchmarkSec72TraceStats$' .
-pin BENCH_serve.json 'BenchmarkServeRead' .
+for name in "$@"; do
+	case "$name" in
+	derive) pin BENCH_derive.json Derive . ./internal/core/ ;;
+	segstore) pin BENCH_segstore.json Segstore . ;;
+	ingest) pin BENCH_ingest.json 'BenchmarkImport$|BenchmarkSec72TraceStats$' . ;;
+	serve) pin BENCH_serve.json 'BenchmarkServeRead' . ;;
+	esac
+done
