@@ -4,8 +4,8 @@
 # from the working tree, run the benchmarks a -bench regexp selects K
 # times on each side, alternating which side runs first, and print for
 # each benchmark and side the ms/op of every run, their median and
-# quartiles (the exclusive method `bench compare` uses) and how many of
-# the K pairs that side won.
+# quartiles (the exclusive method `bench compare` uses), how many of
+# the K pairs that side won and the median B/op.
 #
 # Usage: scripts/ab.sh [-n K] [-t benchtime] [-c cpu-list] [-p package] base-rev bench-regexp
 #
@@ -57,13 +57,18 @@ git archive "$base" | tar -x -C "$tmp/base"
 go test -c -o "$tmp/change.test" "$pkg"
 
 # bench <side> <checkout> <run>: run one side's binary once from its
-# package directory and append a "side run benchmark ns/op" line per
-# benchmark to results.
+# package directory and append a "side run benchmark ns/op B/op" line
+# per benchmark to results.
 bench() {
 	(cd "$2/$pkg" && "$tmp/$1.test" -test.run '^$' -test.bench "$pattern" \
 		-test.benchtime "$benchtime" -test.benchmem -test.timeout 60m ${cpu:+-test.cpu "$cpu"}) |
 		awk -v side="$1" -v run="$3" '/^Benchmark/ {
-			for (k = 3; k < NF; k++) if ($(k + 1) == "ns/op") print side, run, $1, $k
+			ns = bytes = ""
+			for (k = 3; k < NF; k++) {
+				if ($(k + 1) == "ns/op") ns = $k
+				if ($(k + 1) == "B/op") bytes = $k
+			}
+			if (ns != "") print side, run, $1, ns, bytes
 		}' >>"$tmp/results"
 }
 
@@ -101,6 +106,7 @@ function cut(a, n, k,    m, j, d) {
 {
 	if (!($3 in seen)) { seen[$3] = 1; names[++nn] = $3 }
 	ns[$1, $3, $2] = $4
+	bop[$1, $3, $2] = $5
 	if ($2 > maxrun) maxrun = $2
 }
 END {
@@ -108,7 +114,7 @@ END {
 	for (b = 1; b <= nn; b++) {
 		name = names[b]
 		printf "%s (ms/op; base %s against the working tree)\n", name, base
-		printf "  %-7s %-44s %9s %21s %4s\n", "side", "runs, sorted", "median", "[q1 q3]", "won"
+		printf "  %-7s %-44s %9s %21s %4s %12s\n", "side", "runs, sorted", "median", "[q1 q3]", "won", "B/op median"
 		won["base"] = 0; won["change"] = 0
 		for (r = 1; r <= maxrun; r++) {
 			if (!(("base", name, r) in ns) || !(("change", name, r) in ns)) continue
@@ -119,16 +125,20 @@ END {
 		for (s = 1; s <= 2; s++) {
 			side = sides[s]; n = 0; list = ""
 			for (r = 1; r <= maxrun; r++)
-				if ((side, name, r) in ns) v[++n] = ns[side, name, r] / 1e6
+				if ((side, name, r) in ns) {
+					v[++n] = ns[side, name, r] / 1e6
+					w[n] = bop[side, name, r] + 0
+				}
 			if (n == 0) continue
 			sortv(v, n)
-			for (k = 1; k <= n; k++) list = list sprintf("%s%.1f", k > 1 ? " " : "", v[k])
+			sortv(w, n)
+			for (k = 1; k <= n; k++) list = list sprintf("%s%.4g", k > 1 ? " " : "", v[k])
 			med[side] = cut(v, n, 2)
 			rel = ""
 			if (side == "change" && med["base"] > 0)
 				rel = sprintf(" (%+.1f%%)", 100 * (med[side] - med["base"]) / med["base"])
-			printf "  %-7s %-44s %9.1f %21s %4d%s\n", side, list, med[side],
-				sprintf("[%.1f %.1f]", cut(v, n, 1), cut(v, n, 3)), won[side], rel
+			printf "  %-7s %-44s %9.4g %21s %4d %12.0f%s\n", side, list, med[side],
+				sprintf("[%.4g %.4g]", cut(v, n, 1), cut(v, n, 3)), won[side], cut(w, n, 2), rel
 		}
 	}
 }' "$tmp/results"
