@@ -768,7 +768,7 @@ func scalingWorkerCounts() []int {
 
 // BenchmarkDeriveParallel measures the sharded work-stealing derivation
 // across the worker sweep (results are byte-identical to sequential;
-// see core.TestParallelMatchesSequential).
+// see TestOracle).
 func BenchmarkDeriveParallel(b *testing.B) {
 	d := synthFixture(b)
 	for _, workers := range scalingWorkerCounts() {

@@ -137,9 +137,10 @@ type CheckResult struct {
 	Sr      float64
 }
 
-// CheckRule validates one documented rule against the observations.
+// CheckRule validates one documented rule against the observations;
+// CheckAll validates many through one index.
 func CheckRule(d *db.DB, spec RuleSpec) (CheckResult, error) {
-	g, ok := d.GroupMerged(spec.Type, spec.Subclass, spec.Member, spec.Write)
+	g, ok := d.IndexGroups().Merged(spec.Type, spec.Subclass, spec.Member, spec.Write)
 	return checkGroup(d, spec, g, ok)
 }
 

@@ -70,7 +70,7 @@ func registerQueueType(k *kernel.Kernel) *kernel.TypeInfo {
 		Field("boundary_sector", u64).
 		Field("queue_depth", u32).
 		Field("nr_congestion_on", u32).
-		Lock("queue_lock", u32).  // filtered
+		Lock("queue_lock", u32).   // filtered
 		Field("queue_waitq", u64). // black-listed (wait queue)
 		Field("disk", u64))
 }
@@ -315,6 +315,3 @@ func (l *Layer) call(c *kernel.Context, name string) func() {
 	c.Enter(fi)
 	return func() { c.Exit(fi) }
 }
-
-// Disks returns the registered disks.
-func (l *Layer) Disks() []*Disk { return l.disks }

@@ -297,8 +297,8 @@ func Support(g *db.ObsGroup, rule db.LockSeq) (sa uint64, sr float64) {
 // shard.go; 0 = GOMAXPROCS workers), and both produce
 // element-for-element identical output — every group is an independent
 // unit of work written to a distinct slice index, and per-group mining
-// is deterministic (TestParallelMatchesSequential pins this on the
-// fixtures and both golden traces).
+// is deterministic (the root package's TestOracle pins this at several
+// worker counts and option sets on every input).
 //
 // Cancellation is checked at group boundaries: when ctx is cancelled,
 // DeriveAll stops claiming groups and returns (nil, ctx.Err()) without

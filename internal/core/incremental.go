@@ -20,8 +20,8 @@ import (
 // contents are identical, so a cache keyed by group pointer returns
 // byte-identical results for clean groups. Together they make
 // DeriveAll's output indistinguishable from a from-scratch batch
-// derivation of the same snapshot — the differential harness in
-// incremental_test.go pins this.
+// derivation of the same snapshot — the differential oracle in the root
+// package (TestOracle, FuzzOracle) pins this.
 //
 // A DeltaDeriver is not safe for concurrent use; callers that share one
 // (the lockdocd rule cache) serialize access per options key.

@@ -188,8 +188,7 @@ func (e *mineEngine) run(w int) {
 		}
 		g := e.groups[gi]
 		if err := e.d.Hydrate(g); err != nil {
-			e.hydErr.CompareAndSwap(nil, &err)
-			e.aborted.Store(true)
+			e.fail(err)
 			break
 		}
 		e.out[gi] = mineOne(m, si, g, e.opt)
@@ -199,6 +198,14 @@ func (e *mineEngine) run(w int) {
 		}
 	}
 	t.finish = time.Now()
+}
+
+// fail records the pass's first hydration error and stops the other
+// workers. It takes err's address only here: taken in run's loop, the
+// address would move err to the heap on every claimed group.
+func (e *mineEngine) fail(err error) {
+	e.hydErr.CompareAndSwap(nil, &err)
+	e.aborted.Store(true)
 }
 
 // mineAll mines the groups selected by work (nil = all) into out,

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"lockdoc/internal/db"
@@ -213,5 +215,29 @@ func TestInternerSharesKeptSequences(t *testing.T) {
 	c := si2.intern(db.LockSeq{1, 2, 3})
 	if &a[0] != &c[0] {
 		t.Fatal("post-merge interner did not reuse the frozen sequence")
+	}
+}
+
+// failingSource is a state GroupSource whose every hydration fails.
+type failingSource struct{ error }
+
+func (f failingSource) HydrateGroup(int, *db.ObsGroup) error { return f.error }
+
+// TestDeriveAllReturnsHydrationError: a group that fails to hydrate
+// fails the pass, on the sequential path and in the engine alike.
+func TestDeriveAllReturnsHydrationError(t *testing.T) {
+	var state bytes.Buffer
+	if err := fixtureDB(t).Seal().EncodeStateMeta(&state); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		src := failingSource{errors.New("group block unreadable")}
+		d, err := db.DecodeStateMeta(bytes.NewReader(state.Bytes()), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err = DeriveAll(context.Background(), d, Options{Parallelism: workers}); !errors.Is(err, src.error) {
+			t.Errorf("workers %d: DeriveAll = %v, want the hydration error", workers, err)
+		}
 	}
 }

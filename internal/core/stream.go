@@ -16,9 +16,9 @@ import (
 //
 // The returned results are byte-identical to a batch
 // DeriveAll(sealed view) of the same events, by the DeltaDeriver
-// soundness argument (see incremental.go). The differential harness in
-// stream_test.go pins this across randomized block splits and the
-// whole options matrix.
+// soundness argument (see incremental.go). The root package's
+// differential oracle pins this across randomized chunkings, and
+// stream_test.go across the whole options matrix.
 //
 // A StreamDeriver is not safe for concurrent use: one goroutine feeds
 // events and calls Derive. After Derive the deriver is reusable — the

@@ -84,13 +84,13 @@ func TestSummary(t *testing.T) {
 }
 
 func TestGroupMergedAcrossSubclasses(t *testing.T) {
-	d := exportFixture(t)
+	ix := exportFixture(t).IndexGroups()
 	// Exact subclass lookups work.
-	if _, ok := d.GroupMerged("inode", "ext4", "i_state", true); !ok {
+	if _, ok := ix.Merged("inode", "ext4", "i_state", true); !ok {
 		t.Fatal("exact subclass group missing")
 	}
 	// Merged lookup sums both subclasses.
-	g, ok := d.GroupMerged("inode", "", "i_state", true)
+	g, ok := ix.Merged("inode", "", "i_state", true)
 	if !ok {
 		t.Fatal("merged group missing")
 	}
@@ -101,17 +101,17 @@ func TestGroupMergedAcrossSubclasses(t *testing.T) {
 		t.Errorf("merged Seqs = %d, want 2 (locked + lock-free)", len(g.Seqs))
 	}
 	// Unknown member merges to nothing.
-	if _, ok := d.GroupMerged("inode", "", "i_nope", true); ok {
+	if _, ok := ix.Merged("inode", "", "i_nope", true); ok {
 		t.Error("merged lookup invented a group")
 	}
 }
 
 // TestGroupMergedAggregates checks the per-sequence bookkeeping of the
-// merge, through GroupMerged and through a GroupIndex: Count, Events and
-// the per-context event counters must sum across subclasses for
-// identical lock signatures, non-subclassed types and named subclasses
-// must resolve through the exact lookup, and mismatched write flags,
-// unknown types and unknown subclasses must find nothing.
+// merge through a GroupIndex: Count, Events and the per-context event
+// counters must sum across subclasses for identical lock signatures,
+// non-subclassed types and named subclasses must resolve through the
+// exact lookup, and mismatched write flags, unknown types and unknown
+// subclasses must find nothing.
 func TestGroupMergedAggregates(t *testing.T) {
 	f := newFeeder(t, Config{SubclassedTypes: []string{"inode"}})
 	f.defType(1, "inode", trace.MemberDef{Name: "i_data", Offset: 0, Size: 8})
@@ -141,66 +141,58 @@ func TestGroupMergedAggregates(t *testing.T) {
 	f.db.Flush()
 	d := f.db
 
-	// GroupMerged and a GroupIndex built once must resolve alike.
-	for _, lookup := range []struct {
-		name   string
-		merged func(typeName, subclass, member string, write bool) (*ObsGroup, bool)
-	}{
-		{"GroupMerged", d.GroupMerged},
-		{"GroupIndex", d.IndexGroups().Merged},
-	} {
-		t.Run(lookup.name, func(t *testing.T) {
-			g, ok := lookup.merged("inode", "", "i_data", true)
-			if !ok {
-				t.Fatal("merged inode group missing")
+	t.Run("GroupIndex", func(t *testing.T) {
+		ix := d.IndexGroups()
+		g, ok := ix.Merged("inode", "", "i_data", true)
+		if !ok {
+			t.Fatal("merged inode group missing")
+		}
+		if g.Total != 3 || g.EventSum != 4 {
+			t.Errorf("merged Total/EventSum = %d/%d, want 3/4", g.Total, g.EventSum)
+		}
+		var locked *SeqObs
+		for _, so := range g.Seqs {
+			if len(so.Seq) == 1 {
+				locked = so
 			}
-			if g.Total != 3 || g.EventSum != 4 {
-				t.Errorf("merged Total/EventSum = %d/%d, want 3/4", g.Total, g.EventSum)
-			}
-			var locked *SeqObs
-			for _, so := range g.Seqs {
-				if len(so.Seq) == 1 {
-					locked = so
-				}
-			}
-			if locked == nil {
-				t.Fatal("merged single-lock observation missing")
-			}
-			if locked.Count != 2 || locked.Events != 3 {
-				t.Errorf("merged Count/Events = %d/%d, want 2/3", locked.Count, locked.Events)
-			}
-			ctxEvents := map[uint32]uint64{}
-			for c, n := range locked.Contexts {
-				ctxEvents[c.FuncID] += n
-			}
-			if ctxEvents[1] != 2 || ctxEvents[2] != 1 {
-				t.Errorf("merged context counters = %v, want func1:2 func2:1", ctxEvents)
-			}
+		}
+		if locked == nil {
+			t.Fatal("merged single-lock observation missing")
+		}
+		if locked.Count != 2 || locked.Events != 3 {
+			t.Errorf("merged Count/Events = %d/%d, want 2/3", locked.Count, locked.Events)
+		}
+		ctxEvents := map[uint32]uint64{}
+		for c, n := range locked.Contexts {
+			ctxEvents[c.FuncID] += n
+		}
+		if ctxEvents[1] != 2 || ctxEvents[2] != 1 {
+			t.Errorf("merged context counters = %v, want func1:2 func2:1", ctxEvents)
+		}
 
-			// Non-subclassed types resolve through the exact lookup: the
-			// merged result is the stored group itself, not a synthetic copy.
-			exact, ok := d.Group("dentry", "", "d_flags", true)
-			if !ok {
-				t.Fatal("dentry group missing")
-			}
-			if merged, ok := lookup.merged("dentry", "", "d_flags", true); !ok || merged != exact {
-				t.Errorf("merged(dentry) = %p ok=%v, want stored group %p", merged, ok, exact)
-			}
-			if ext4, ok := lookup.merged("inode", "ext4", "i_data", true); !ok || ext4.Key.Subclass != "ext4" || ext4.Total != 2 {
-				t.Errorf("merged(inode:ext4) = %+v ok=%v, want the stored ext4 group", ext4, ok)
-			}
+		// Non-subclassed types resolve through the exact lookup: the
+		// merged result is the stored group itself, not a synthetic copy.
+		exact, ok := d.Group("dentry", "", "d_flags", true)
+		if !ok {
+			t.Fatal("dentry group missing")
+		}
+		if merged, ok := ix.Merged("dentry", "", "d_flags", true); !ok || merged != exact {
+			t.Errorf("merged(dentry) = %p ok=%v, want stored group %p", merged, ok, exact)
+		}
+		if ext4, ok := ix.Merged("inode", "ext4", "i_data", true); !ok || ext4.Key.Subclass != "ext4" || ext4.Total != 2 {
+			t.Errorf("merged(inode:ext4) = %+v ok=%v, want the stored ext4 group", ext4, ok)
+		}
 
-			if _, ok := lookup.merged("inode", "", "i_data", false); ok {
-				t.Error("merged lookup matched the wrong access type")
-			}
-			if _, ok := lookup.merged("nosuch", "", "i_data", true); ok {
-				t.Error("merged lookup invented an unknown type")
-			}
-			if _, ok := lookup.merged("inode", "xfs", "i_data", true); ok {
-				t.Error("non-empty unknown subclass must not merge")
-			}
-		})
-	}
+		if _, ok := ix.Merged("inode", "", "i_data", false); ok {
+			t.Error("merged lookup matched the wrong access type")
+		}
+		if _, ok := ix.Merged("nosuch", "", "i_data", true); ok {
+			t.Error("merged lookup invented an unknown type")
+		}
+		if _, ok := ix.Merged("inode", "xfs", "i_data", true); ok {
+			t.Error("non-empty unknown subclass must not merge")
+		}
+	})
 }
 
 func TestBlacklistedMembersCount(t *testing.T) {

@@ -949,22 +949,6 @@ func (db *DB) Group(typeName, subclass, member string, write bool) (*ObsGroup, b
 	return nil, false
 }
 
-// GroupMerged resolves a group like Group, but when subclass is empty
-// and the type is subclassed it merges the observations of every
-// subclass into one synthetic group. The locking-rule checker validates
-// documentation written for the plain type ("struct inode") against all
-// subclass observations this way. Each call scans every group; resolve
-// many lookups through one GroupIndex instead.
-func (db *DB) GroupMerged(typeName, subclass, member string, write bool) (*ObsGroup, bool) {
-	var same []*ObsGroup
-	for g := range db.groups {
-		if g.Type.Name == typeName && g.Key.Write == write && g.MemberName() == member {
-			same = append(same, g)
-		}
-	}
-	return db.lookupMerged(same, subclass)
-}
-
 // memberAccess names the groups of one member access across the
 // subclasses of its type.
 type memberAccess struct {
@@ -972,10 +956,11 @@ type memberAccess struct {
 	write            bool
 }
 
-// GroupIndex answers GroupMerged lookups from a map of the store's
-// groups keyed by (type name, member, access), built in one pass that
-// neither sorts nor hydrates them. It reflects the groups at the time
-// it was built: index a sealed view, whose group set never changes.
+// GroupIndex resolves groups like Group, but with subclasses merged
+// (see Merged), from a map of the store's groups keyed by (type name,
+// member, access), built in one pass that neither sorts nor hydrates
+// them. It reflects the groups at the time it was built: index a sealed
+// view, whose group set never changes.
 type GroupIndex struct {
 	db     *DB
 	groups map[memberAccess][]*ObsGroup
@@ -991,7 +976,11 @@ func (db *DB) IndexGroups() *GroupIndex {
 	return ix
 }
 
-// Merged is GroupMerged answered from the index.
+// Merged looks up one group like Group, but when subclass is empty and
+// the type is subclassed it merges the observations of every subclass
+// into one synthetic group. The locking-rule checker validates
+// documentation written for the plain type ("struct inode") against all
+// subclass observations this way.
 func (ix *GroupIndex) Merged(typeName, subclass, member string, write bool) (*ObsGroup, bool) {
 	return ix.db.lookupMerged(ix.groups[memberAccess{typeName, member, write}], subclass)
 }

@@ -411,10 +411,3 @@ func (f *FS) CreatePipe(c *kernel.Context, pipefs *SuperBlock) *Inode {
 	f.allocPipe(c, in)
 	return in
 }
-
-// ReleasePipe drops both ends and the inode.
-func (f *FS) ReleasePipe(c *kernel.Context, in *Inode) {
-	f.PipeReleaseEnd(c, in.Pipe, true)
-	f.PipeReleaseEnd(c, in.Pipe, false)
-	f.Iput(c, in)
-}

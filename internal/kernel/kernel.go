@@ -278,25 +278,12 @@ func (c *Context) Exit(fn *FuncInfo) {
 	c.k.emit(&trace.Event{Kind: trace.KindFuncExit, Ctx: c.id, FuncID: fn.ID})
 }
 
-// Depth reports the current call-stack depth.
-func (c *Context) Depth() int { return len(c.stack) }
-
 // Top returns the innermost function, or nil at top level.
 func (c *Context) Top() *FuncInfo {
 	if len(c.stack) == 0 {
 		return nil
 	}
 	return c.stack[len(c.stack)-1]
-}
-
-// InFunction reports whether fn is anywhere on the current call stack.
-func (c *Context) InFunction(fn *FuncInfo) bool {
-	for _, f := range c.stack {
-		if f == fn {
-			return true
-		}
-	}
-	return false
 }
 
 // Cover marks the basic block ending at source line (fn.Line + off) of

@@ -63,18 +63,6 @@ func (l *SpinLock) UnlockIRQ(c *kernel.Context) {
 	l.b.d.IRQEnable(c)
 }
 
-// LockBH acquires with bottom halves disabled (spin_lock_bh).
-func (l *SpinLock) LockBH(c *kernel.Context) {
-	l.b.d.BHDisable(c)
-	l.Lock(c)
-}
-
-// UnlockBH releases and re-enables bottom halves (spin_unlock_bh).
-func (l *SpinLock) UnlockBH(c *kernel.Context) {
-	l.Unlock(c)
-	l.b.d.BHEnable(c)
-}
-
 // TryLock attempts the acquisition without blocking and reports success.
 func (l *SpinLock) TryLock(c *kernel.Context) bool {
 	if l.b.writer != nil || l.b.readers > 0 {

@@ -16,7 +16,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -347,15 +346,4 @@ func (h *Histogram) snapshot() Snapshot {
 		s.Buckets[i] = BucketCount{LE: le, Count: cum}
 	}
 	return s
-}
-
-// SortSnapshots orders snapshots by name then labels — a stable order
-// for golden tests that does not depend on registration sequence.
-func SortSnapshots(snaps []Snapshot) {
-	sort.SliceStable(snaps, func(i, j int) bool {
-		if snaps[i].Name != snaps[j].Name {
-			return snaps[i].Name < snaps[j].Name
-		}
-		return snaps[i].Labels < snaps[j].Labels
-	})
 }

@@ -132,9 +132,6 @@ func New(seed int64, preemptEvery int) *Scheduler {
 // traces).
 func (s *Scheduler) Now() uint64 { return s.ticks }
 
-// Current returns the running task, or nil outside task execution.
-func (s *Scheduler) Current() *Task { return s.current }
-
 // Go creates a new task executing body. Tasks may be created before Run
 // or from inside other tasks.
 func (s *Scheduler) Go(name string, body func(*Task)) *Task {

@@ -8,7 +8,6 @@ package workload
 
 import (
 	"fmt"
-	"io"
 
 	"lockdoc/internal/blk"
 	"lockdoc/internal/fs"
@@ -176,16 +175,6 @@ func (sys *System) Shutdown() (*System, error) {
 		return sys, fmt.Errorf("workload: trace error: %w", err)
 	}
 	return sys, k.Finish()
-}
-
-// RunToBuffer is a convenience for tests and benchmarks: runs the mix
-// writing the trace to w (which may be io.Discard via a counting shim).
-func RunToBuffer(w io.Writer, opt Options) (*System, error) {
-	tw, err := trace.NewWriter(w)
-	if err != nil {
-		return nil, err
-	}
-	return Run(tw, opt)
 }
 
 // spawnFsBench models LTP fs-bench-test2: create a tree of files,
