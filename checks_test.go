@@ -55,9 +55,10 @@ func checkLines(t *testing.T, d *db.DB, specs []analysis.RuleSpec) string {
 // across the inode subclasses, narrow them to one subclass, and name
 // members and locks that were never observed. A store-backed leg seals the mix into a segment store,
 // reopens it and checks straight after LoadState: the lines must be
-// the same, and the golden records how many blocks that check inflated
-// (the metadata block plus one per group a rule names), so a lookup
-// that hydrates groups no rule names fails here.
+// the same, and the golden records how many blocks LoadState inflated
+// (the metadata block and every definition chunk) and how many the
+// checks did (one per group a rule names), so a lookup that hydrates
+// groups no rule names fails here.
 //
 // Regenerate after an intentional change with
 //
@@ -131,6 +132,10 @@ func TestCheckResultsGolden(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("LoadState: ok=%v err=%v", ok, err)
 	}
+	loaded := m.BlocksInflated.Value()
+	if want := uint64(1 + view.DefChunks()); loaded != want {
+		t.Errorf("LoadState inflated %d blocks, want the metadata block and %d definition chunks", loaded, want-1)
+	}
 	if got := checkLines(t, view, specs); got != fsLines {
 		t.Errorf("store-backed checks diverge from the imported mix:\n--- store ---\n%s--- import ---\n%s", got, fsLines)
 	}
@@ -141,7 +146,8 @@ func TestCheckResultsGolden(t *testing.T) {
 	var out bytes.Buffer
 	fmt.Fprintf(&out, "== fs.DocumentedRules and its inode rules per subclass, scale-1 kernel mix\n%s", fsLines)
 	fmt.Fprintf(&out, "== blk.DocumentedRules, blk example\n%s", blkLines)
-	fmt.Fprintf(&out, "== store-backed fs checks after LoadState\nlockdoc_segstore_blocks_inflated_total %d\n", m.BlocksInflated.Value())
+	fmt.Fprintf(&out, "== store-backed fs checks after LoadState\nlockdoc_segstore_blocks_inflated_total by LoadState %d\nlockdoc_segstore_blocks_inflated_total by the checks %d\n",
+		loaded, m.BlocksInflated.Value()-loaded)
 
 	golden := filepath.Join("testdata", "checks.golden")
 	if *update {

@@ -211,10 +211,11 @@ func TestEndToEndGoldenDocStoreBacked(t *testing.T) {
 }
 
 // TestLevel6StoreFixture opens a segment store written by an earlier
-// build, whose blocks were deflated at flate.DefaultCompression. The
-// fixture in testdata/store_level6 was written at commit 288b9b8 from
-// the clock trace of clockV2Trace, split at the first sync marker at or
-// after its midpoint:
+// build, whose blocks were deflated at flate.DefaultCompression and
+// whose state segment holds state format 1, which this build does not
+// read. The fixture in testdata/store_level6 was written at commit
+// 288b9b8 from the clock trace of clockV2Trace, split at the first sync
+// marker at or after its midpoint:
 //
 //	s, _ := segstore.Open(dir, segstore.Options{})
 //	s.ResetTrace(clock[:split])
@@ -223,9 +224,11 @@ func TestEndToEndGoldenDocStoreBacked(t *testing.T) {
 //	live.SealTo(s)
 //	s.Close()
 //
-// The inflater does not depend on the level a block was written at, so
-// the reopened state, a replay of its trace chain, and the state a
-// fresh compaction writes over it must all render the clock golden.
+// LoadState must refuse the older state without an error, which sends
+// a server to replay the trace chain. The inflater does not depend on
+// the level a block was written at, so that replay must render the
+// clock golden, and so must the current state a compaction of the
+// replay writes, once a reopen loads it.
 func TestLevel6StoreFixture(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "clock_doc.golden"))
 	if err != nil {
@@ -259,7 +262,7 @@ func TestLevel6StoreFixture(t *testing.T) {
 			t.Errorf("%s: hydration: %v", what, err)
 		}
 	}
-	open := func() (*segstore.Store, *db.DB) {
+	open := func() *segstore.Store {
 		t.Helper()
 		s, err := segstore.Open(dir, segstore.Options{})
 		if err != nil {
@@ -268,28 +271,30 @@ func TestLevel6StoreFixture(t *testing.T) {
 		if !s.StateCurrent() {
 			t.Fatal("the state segment does not cover the trace chain")
 		}
-		view, ok, err := s.LoadState()
-		if err != nil || !ok {
-			t.Fatalf("LoadState: ok=%v err=%v", ok, err)
-		}
-		return s, view
+		return s
 	}
 
-	s, view := open()
-	render("reopened state", view)
+	s := open()
+	if view, ok, err := s.LoadState(); view != nil || ok || err != nil {
+		t.Fatalf("LoadState of a format-1 state: ok=%v err=%v, want no state and no error", ok, err)
+	}
 	replayed, err := db.Import(trace.NewContinuationReader(s.TraceReader(), trace.ReaderOptions{}), db.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	render("replayed trace chain", replayed)
-	if err := s.Compact(view); err != nil {
+	if _, err := replayed.SealTo(s); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, view = open()
+	s = open()
 	defer s.Close()
+	view, ok, err := s.LoadState()
+	if err != nil || !ok {
+		t.Fatalf("LoadState of the recompacted state: ok=%v err=%v", ok, err)
+	}
 	render("recompacted state", view)
 }
 

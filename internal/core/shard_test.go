@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -226,13 +225,12 @@ func (f failingSource) HydrateGroup(int, *db.ObsGroup) error { return f.error }
 // TestDeriveAllReturnsHydrationError: a group that fails to hydrate
 // fails the pass, on the sequential path and in the engine alike.
 func TestDeriveAllReturnsHydrationError(t *testing.T) {
-	var state bytes.Buffer
-	if err := fixtureDB(t).Seal().EncodeStateMeta(&state); err != nil {
-		t.Fatal(err)
-	}
+	view := fixtureDB(t).Seal()
+	meta := view.AppendStateMeta(nil)
+	chunk := func(j int) ([]byte, error) { return view.AppendDefChunk(nil, j), nil }
 	for _, workers := range []int{1, 2} {
 		src := failingSource{errors.New("group block unreadable")}
-		d, err := db.DecodeStateMeta(bytes.NewReader(state.Bytes()), src)
+		d, err := db.DecodeState(meta, chunk, src)
 		if err != nil {
 			t.Fatal(err)
 		}

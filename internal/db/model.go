@@ -126,6 +126,11 @@ type DataType struct {
 	Name    string
 	Members []trace.MemberDef
 
+	// def is the position of the type's record in the definition log,
+	// by which a state's group directory names the definition a group
+	// was made under.
+	def int
+
 	// Import lookups resolved once when the type is defined: at
 	// attributes a byte offset to a member, dropped[i] reports whether
 	// the member filters drop accesses to member i (atomic, lock or

@@ -3,6 +3,7 @@ package segstore
 import (
 	"bytes"
 	"context"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"lockdoc/internal/blk"
 	"lockdoc/internal/core"
 	"lockdoc/internal/db"
+	"lockdoc/internal/manifest"
 	"lockdoc/internal/obs"
 	"lockdoc/internal/trace"
 )
@@ -349,5 +351,190 @@ func TestCompactConcurrentDropCache(t *testing.T) {
 	}
 	if !bytes.Equal(stateBytes(t, s), fullEncode(t, last)) {
 		t.Error("state segment after the race differs from a full re-encode")
+	}
+}
+
+// addEvents applies evs to d in order.
+func addEvents(d *db.DB, evs []trace.Event) error {
+	for i := range evs {
+		if err := d.Add(&evs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestLoadStateTypeRedefinedWithFewerMembers: a group keeps the member
+// index of the type definition it was made under, so a state whose type
+// was later redefined with fewer members must still load, and serve
+// what the sealed view serves, rather than send the store to a replay.
+func TestLoadStateTypeRedefinedWithFewerMembers(t *testing.T) {
+	live := db.New(db.Config{})
+	if err := addEvents(live, []trace.Event{
+		{Kind: trace.KindDefType, TypeID: 1, TypeName: "t1",
+			Members: []trace.MemberDef{{Name: "a", Offset: 0, Size: 8}, {Name: "b", Offset: 8, Size: 8}}},
+		{Kind: trace.KindDefLock, LockID: 1, LockName: "l", Class: trace.LockSpin, LockAddr: 0x100},
+		{Kind: trace.KindDefFunc, FuncID: 1, File: "x.c", Line: 1, Func: "f"},
+		{Kind: trace.KindAlloc, Ctx: 1, AllocID: 1, TypeID: 1, Addr: 0x1000, Size: 16},
+		{Kind: trace.KindAcquire, Ctx: 1, LockID: 1, FuncID: 1},
+		{Kind: trace.KindWrite, Ctx: 1, Addr: 0x1008, AccessSize: 8, FuncID: 1},
+		{Kind: trace.KindRelease, Ctx: 1, LockID: 1, FuncID: 1},
+		{Kind: trace.KindDefType, TypeID: 1, TypeName: "t1",
+			Members: []trace.MemberDef{{Name: "a", Offset: 0, Size: 8}}},
+		{Kind: trace.KindAlloc, Ctx: 1, AllocID: 2, TypeID: 1, Addr: 0x2000, Size: 8},
+		{Kind: trace.KindWrite, Ctx: 1, Addr: 0x2000, AccessSize: 8, FuncID: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	live.Flush()
+	view := live.Seal()
+	if _, ok := view.Group("t1", "", "b", true); !ok {
+		t.Fatal("no group for the member the redefinition dropped")
+	}
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(view); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	loaded, ok, err := s.LoadState()
+	if err != nil || !ok {
+		t.Fatalf("LoadState: ok=%v err=%v; want the state", ok, err)
+	}
+	if got, want := exportCSV(t, loaded), exportCSV(t, view); !bytes.Equal(got, want) {
+		t.Errorf("loaded observations differ from the view's:\n--- view\n%s\n--- loaded\n%s", want, got)
+	}
+	doc := func(d *db.DB) string {
+		results, err := core.DeriveAll(context.Background(), d, core.Options{AcceptThreshold: core.DefaultAcceptThreshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return analysis.GenerateDoc(d, results, "t1")
+	}
+	if got, want := doc(loaded), doc(view); got != want {
+		t.Errorf("loaded doc differs from the view's:\n--- view\n%s\n--- loaded\n%s", want, got)
+	}
+}
+
+// TestCompactDependsOnlyOnView: once sealed, a view compacts to the
+// same bytes whatever the live store does next, here consuming a free
+// of one of the view's allocations, a redefinition of one of its locks
+// and enough definitions to fill the chunk the view ends in and the
+// next. The live store runs on its own goroutine while the view
+// compacts, so -race checks that nothing the encoder reads is shared
+// writable state.
+func TestCompactDependsOnlyOnView(t *testing.T) {
+	live := db.New(db.Config{})
+	base := []trace.Event{
+		{Kind: trace.KindDefType, TypeID: 1, TypeName: "obj",
+			Members: []trace.MemberDef{{Name: "x", Offset: 0, Size: 8}, {Name: "y", Offset: 8, Size: 8}}},
+		{Kind: trace.KindDefLock, LockID: 1, LockName: "l", Class: trace.LockSpin, LockAddr: 0x100},
+		{Kind: trace.KindDefFunc, FuncID: 1, File: "x.c", Line: 1, Func: "f"},
+	}
+	for id := uint64(1); id <= 40; id++ {
+		base = append(base,
+			trace.Event{Kind: trace.KindAlloc, Ctx: 1, AllocID: id, TypeID: 1, Addr: id << 8, Size: 16},
+			trace.Event{Kind: trace.KindAcquire, Ctx: 1, LockID: 1, FuncID: 1},
+			trace.Event{Kind: trace.KindWrite, Ctx: 1, Addr: id<<8 + 8*(id%2), AccessSize: 8, FuncID: 1},
+			trace.Event{Kind: trace.KindRelease, Ctx: 1, LockID: 1, FuncID: 1})
+	}
+	if err := addEvents(live, base); err != nil {
+		t.Fatal(err)
+	}
+	view := live.Seal()
+	if k := view.DefChunks(); k != 1 {
+		t.Fatalf("the base fills %d chunks, want one partial", k)
+	}
+	want := fullEncode(t, view)
+
+	more := []trace.Event{
+		{Kind: trace.KindFree, Ctx: 1, AllocID: 7},
+		{Kind: trace.KindDefLock, LockID: 1, LockName: "l2", Class: trace.LockMutex, LockAddr: 0x100},
+	}
+	for i := uint32(2); i < 2+600; i++ {
+		more = append(more, trace.Event{Kind: trace.KindDefFunc, FuncID: i, File: "y.c", Line: i, Func: "g"})
+	}
+	done := make(chan error, 1)
+	go func() { done <- addEvents(live, more) }()
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for round := 0; round < 3; round++ {
+		if err := s.Compact(view); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stateBytes(t, s), want) {
+			t.Fatalf("round %d: the view compacts differently while the live store consumes", round)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if live.DefChunks() < 3 {
+		t.Fatalf("the live store holds %d chunks, want the view's filled and one more", live.DefChunks())
+	}
+	if !bytes.Equal(fullEncode(t, view), want) {
+		t.Error("the view compacts differently after the live store consumed more")
+	}
+}
+
+// TestLoadStateRejectsBlockCount: a state segment must hold exactly
+// block 0, one block per group and one per definition chunk. One with a
+// block more is refused, with no error, so the caller replays.
+func TestLoadStateRejectsBlockCount(t *testing.T) {
+	views, chunks := appendViews(t, blkRaw(t), 3, 0)
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ResetTrace(chunks[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(views[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.LoadState(); !ok || err != nil {
+		t.Fatalf("LoadState of the intact state: ok=%v err=%v", ok, err)
+	}
+	seg, err := parseSegment("state", stateBytes(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newSegWriter(kindByteState)
+	for i := range seg.blocks {
+		w.copyBlock(seg, i)
+	}
+	w.copyBlock(seg, len(seg.blocks)-1)
+	entries := s.Manifest()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e := &entries[len(entries)-1]
+	data := w.bytes()
+	if err := os.WriteFile(filepath.Join(dir, e.Name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e.Size, e.CRC = int64(len(data)), crc32.ChecksumIEEE(data)
+	if err := manifest.Replace(manifest.OSFS{}, dir, entries); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if view, ok, err := s.LoadState(); view != nil || ok || err != nil {
+		t.Fatalf("LoadState of a state with a block too many: ok=%v err=%v; want no state and no error", ok, err)
 	}
 }
