@@ -148,10 +148,9 @@ func TestEndToEndGoldenDoc(t *testing.T) {
 // end: the trace and its compacted state are written into a segment
 // store, the store is closed and reopened cold (fresh mmap, no reuse of
 // in-memory structures), and the reopened snapshot — observation groups
-// hydrating lazily from compressed blocks through a deliberately tiny
-// LRU — must derive and render the exact golden document. This is the
-// byte-identity proof behind lockdocd -store-dir: restart-from-store
-// equals import-from-trace.
+// hydrating lazily from compressed blocks — must derive and render the
+// exact golden document. This is the byte-identity proof behind
+// lockdocd -store-dir: restart-from-store equals import-from-trace.
 func TestEndToEndGoldenDocStoreBacked(t *testing.T) {
 	data := clockV2Trace(t)
 	want, err := os.ReadFile(filepath.Join("testdata", "clock_doc.golden"))
@@ -183,9 +182,8 @@ func TestEndToEndGoldenDocStoreBacked(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cold reopen with a 2-block cache: most hydrations must inflate
-	// from the mapped segment and many evict, yet the output is pinned.
-	s2, err := segstore.Open(dir, segstore.Options{CacheBlocks: 2, Metrics: segstore.NewMetrics(obs.NewRegistry())})
+	// Cold reopen: every hydration inflates from the mapped segment.
+	s2, err := segstore.Open(dir, segstore.Options{Metrics: segstore.NewMetrics(obs.NewRegistry())})
 	if err != nil {
 		t.Fatal(err)
 	}

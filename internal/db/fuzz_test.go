@@ -51,8 +51,19 @@ func stateOf(t *testing.T, d *DB) string {
 // storage format: the filter configuration, every definition table
 // sorted by ID, the interned lock keys, every group's observations
 // (hydrated first), the import counters and the corruption reports.
+// An allocation's liveness is read from the view's own log prefix, the
+// last alloc or free of its ID.
 func renderState(t *testing.T, view *DB) string {
 	t.Helper()
+	live := make(map[uint64]bool)
+	for i := range view.nDefs {
+		switch r := view.defs[i/defChunkLen].recs[i%defChunkLen].(type) {
+		case *Allocation:
+			live[r.ID] = true
+		case freed:
+			live[r.a.ID] = false
+		}
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "nowor %v lenient %v gen %d\n", view.noWoR, view.lenient, view.gen)
 	for _, id := range slices.Sorted(maps.Keys(view.Types)) {
@@ -74,7 +85,7 @@ func renderState(t *testing.T, view *DB) string {
 	for _, id := range slices.Sorted(maps.Keys(view.Allocs)) {
 		a := view.Allocs[id]
 		fmt.Fprintf(&b, "alloc %d type %d/%d %q addr %#x size %d live %v\n",
-			a.ID, a.Type.ID, len(a.Type.Members), a.Subclass, a.Addr, a.Size, a.Live)
+			a.ID, a.Type.ID, len(a.Type.Members), a.Subclass, a.Addr, a.Size, live[id])
 	}
 	for i, k := range view.keys {
 		fmt.Fprintf(&b, "key %d %+v\n", i, k)

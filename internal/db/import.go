@@ -181,11 +181,14 @@ type pendObs struct {
 // allocation with that ID shares the set, so a transaction folds its
 // accesses by (allocation ID, member) even across a reuse of the ID.
 // heads is made at the first pending observation and dropped once
-// nothing is pending and the allocation is freed, because sealed views
-// keep every allocation; n counts what is pending.
+// nothing is pending and the ID's allocation is freed, because sealed
+// views keep every allocation; n counts what is pending, and live is
+// set by the ID's allocation and cleared by its free. n is an int32 so
+// that live fits in the set's 32 bytes.
 type pendSet struct {
 	heads []*pendObs
-	n     int
+	n     int32
+	live  bool
 }
 
 // find returns the observation cs has pending on member mi, or nil.
@@ -218,7 +221,7 @@ func (ps *pendSet) remove(po *pendObs) {
 		p = &(*p).next
 	}
 	*p = po.next
-	if ps.n--; ps.n == 0 && !po.alloc.Live {
+	if ps.n--; ps.n == 0 && !ps.live {
 		ps.heads = nil
 	}
 }
@@ -534,7 +537,7 @@ func (db *DB) define(ev *trace.Event) error {
 		}
 		a := &Allocation{
 			ID: ev.AllocID, Type: ty, Subclass: ev.Subclass,
-			Addr: ev.Addr, Size: ev.Size, Live: true,
+			Addr: ev.Addr, Size: ev.Size,
 		}
 		a.row = db.row(rowKey{ty.ID, a.subclass()})
 		if prev := db.Allocs[a.ID]; prev != nil {
@@ -542,6 +545,7 @@ func (db *DB) define(ev *trace.Event) error {
 		} else {
 			a.pend = &pendSet{}
 		}
+		a.pend.live = true
 		db.Allocs[a.ID] = a
 		db.addrs.Insert(a.Addr, a.Size, a)
 		rec = a
@@ -554,8 +558,8 @@ func (db *DB) define(ev *trace.Event) error {
 			}
 			return fmt.Errorf("db: free of unknown allocation %d", ev.AllocID)
 		}
-		a.Live = false
 		db.addrs.Remove(a.Addr, a.Size, a)
+		a.pend.live = false
 		if a.pend.n == 0 {
 			a.pend.heads = nil
 		}
@@ -862,8 +866,9 @@ func (db *DB) KeyByString(s string) (KeyID, bool) {
 	return 0, false
 }
 
-// InternKey interns a key (used by the checker for documented rules that
-// reference locks never observed).
+// InternKey interns a key. The checker never interns one: it looks a
+// documented lock up with KeyByString, and a lock never observed makes
+// the rule incorrect. core's tests build lock sequences with it.
 func (db *DB) InternKey(k LockKey) KeyID { return db.intern(k) }
 
 // SeqString renders a lock sequence in the paper's arrow notation;

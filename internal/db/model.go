@@ -237,7 +237,6 @@ type Allocation struct {
 	Subclass string
 	Addr     uint64
 	Size     uint32
-	Live     bool
 
 	// Import state, resolved at the allocation event: row is the group
 	// row its observations fold into, and pend reaches the pending

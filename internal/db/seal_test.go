@@ -101,6 +101,33 @@ func TestSealLeavesLiveStateIntact(t *testing.T) {
 	}
 }
 
+// TestSealedViewIgnoresLaterFrees: a view sealed after an allocation
+// still renders the allocation live while, and after, the live store
+// frees it on another goroutine; run under -race, reading the view
+// during the free must not race with it.
+func TestSealedViewIgnoresLaterFrees(t *testing.T) {
+	f := sealFeeder(t)
+	f.alphaRound()
+	view := f.db.Seal()
+	want := renderState(t, view)
+
+	done := make(chan error)
+	go func() {
+		ev := trace.Event{Kind: trace.KindFree, Ctx: 1, AllocID: 1, Addr: 0x1000, Seq: f.seq + 1, TS: f.seq + 1}
+		done <- f.db.Add(&ev)
+	}()
+	during := renderState(t, view)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if during != want {
+		t.Errorf("view rendered differently while the live store freed allocation 1:\n--- at the seal\n%s\n--- during the free\n%s", want, during)
+	}
+	if got := renderState(t, view); got != want {
+		t.Errorf("view renders differently after the live store freed allocation 1:\n--- at the seal\n%s\n--- after the free\n%s", want, got)
+	}
+}
+
 // sealFeeder drives the two-type copy-on-write scenario: alpha guarded
 // by lock 1, beta by lock 2, so an append touching only beta must
 // leave every alpha group physically shared between snapshots.

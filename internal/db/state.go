@@ -39,6 +39,9 @@ import (
 
 // GroupSource materializes lazily-loaded observation groups.
 // internal/segstore implements it on top of per-group segment blocks.
+// A store never runs two HydrateGroup calls of its source at once
+// (Hydrate holds the store's hydration lock), so a source may reuse
+// one buffer across calls.
 type GroupSource interface {
 	// HydrateGroup fills g.Seqs for the group at state-directory index
 	// idx (its position in the encoded group directory).
@@ -119,9 +122,8 @@ const defChunkLen = 256
 // def-func, def-ctx, def-stack, alloc and free, but no event lenient
 // mode dropped. Each record points to an immutable value: a *DataType,
 // *LockInfo, *Func, *CtxInfo or *stackDef, an *Allocation for an
-// allocation, and a freed for a free, so no record reads an
-// allocation's Live flag. Only the log's last chunk is ever partly
-// filled. A full chunk never changes again, and neither does its
+// allocation, and a freed for a free. Only the log's last chunk is ever
+// partly filled. A full chunk never changes again, and neither does its
 // encoding, so a pointer to it names that encoding. A sealed view
 // shares the chunks and keeps its own record count: records the live
 // store adds later to the shared last chunk lie past the view's count.
@@ -230,8 +232,7 @@ func (db *DB) AppendDefChunk(b []byte, j int) []byte {
 // applyDefChunk decodes n records of an encoded chunk and applies them
 // in order, as Add did, logging each again: the last definition of an
 // ID wins, an allocation uses the type its ID names at that point of
-// the log, and a free clears the Live flag of the allocation its ID
-// names then.
+// the log, and a free records the allocation its ID names then.
 func (db *DB) applyDefChunk(data []byte, n int) error {
 	d := &stateDec{b: data}
 	for i := 0; i < n && d.err == nil; i++ {
@@ -277,7 +278,7 @@ func (db *DB) applyDefChunk(data []byte, n int) error {
 			db.Stacks[s.id] = s.frames
 			db.logDef(s)
 		case recAlloc:
-			a := &Allocation{ID: d.u64("alloc id"), Live: true}
+			a := &Allocation{ID: d.u64("alloc id")}
 			typeID := d.u32("alloc type")
 			a.Subclass = d.str("alloc subclass")
 			a.Addr = d.u64("alloc addr")
@@ -292,9 +293,6 @@ func (db *DB) applyDefChunk(data []byte, n int) error {
 			a := db.Allocs[id]
 			if d.err == nil && a == nil {
 				return fmt.Errorf("%w: free of undefined allocation %d", ErrBadState, id)
-			}
-			if a != nil {
-				a.Live = false
 			}
 			db.logDef(freed{a})
 		default:

@@ -35,9 +35,9 @@ func roundTrip(t *testing.T, view *DB) *DB {
 // TestStateRoundTrip: the sealed state of every import edge case and of
 // fifty seeded random streams (types redefined with fewer or more
 // members, frees, allocation IDs reused, locks redefined) decodes to a
-// store that holds exactly what the view holds, Live flags and the
-// definition each group was made under included, and that encodes to
-// the same bytes again.
+// store that holds exactly what the view holds, each allocation's
+// liveness and the definition each group was made under included, and
+// that encodes to the same bytes again.
 func TestStateRoundTrip(t *testing.T) {
 	check := func(name string, d *DB) {
 		t.Helper()

@@ -62,7 +62,7 @@ func TestChaosSoak(t *testing.T) {
 	dir := t.TempDir()
 	ffs := faultinject.NewFaultFS(manifest.OSFS{})
 	open := func() *Store {
-		s, err := Open(dir, Options{FS: ffs, CacheBlocks: 4})
+		s, err := Open(dir, Options{FS: ffs})
 		if err != nil {
 			t.Fatalf("opening store: %v", err)
 		}

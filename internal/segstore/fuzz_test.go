@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzSegmentRoundTrip throws arbitrary bytes at the segment parser.
-// Properties: parseSegment and inflateBlock never panic on any input,
+// Properties: parseSegment and an inflater never panic on any input,
 // and any segment that parses and inflates cleanly survives a rebuild —
 // re-compressing the recovered blocks yields a segment with identical
 // logical content.
@@ -38,7 +38,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 			return
 		}
 		// Bound the inflate work: block headers may claim huge raw
-		// sizes (up to maxSegBlock) that inflateBlock would allocate.
+		// sizes (up to maxSegBlock) that the inflater would allocate.
 		total := 0
 		for _, b := range seg.blocks {
 			total += b.raw
@@ -46,9 +46,10 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		if total > 1<<24 {
 			return
 		}
+		var f inflater
 		var blocks [][]byte
 		for i := range seg.blocks {
-			b, err := seg.inflateBlock(i)
+			b, err := f.inflate(seg, i, nil)
 			if err != nil {
 				return // corrupt payload: detected, not a crash
 			}
@@ -70,7 +71,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 			t.Fatalf("rebuilt segment has %d blocks, want %d", len(seg2.blocks), len(blocks))
 		}
 		for i := range blocks {
-			got, err := seg2.inflateBlock(i)
+			got, err := f.inflate(seg2, i, nil)
 			if err != nil {
 				t.Fatalf("rebuilt block %d: %v", i, err)
 			}

@@ -7,9 +7,9 @@ import (
 )
 
 // Metrics is the segment-store instrument set: segment lifecycle,
-// compaction latency, and the decompressed-block cache's hit/evict
-// behaviour. Attach one via Options.Metrics; a nil *Metrics keeps
-// every hook a no-op.
+// compaction latency, and the blocks inflated and copied forward.
+// Attach one via Options.Metrics; a nil *Metrics keeps every hook a
+// no-op.
 type Metrics struct {
 	SegmentsOpened  *obs.Counter
 	SegmentsInvalid *obs.Counter
@@ -19,8 +19,6 @@ type Metrics struct {
 	BytesWritten    *obs.Counter
 	BlocksInflated  *obs.Counter
 	BlocksReused    *obs.Counter
-	BlockCacheHits  *obs.Counter
-	BlocksEvicted   *obs.Counter
 }
 
 // NewMetrics registers the segstore instrument set on reg (nil reg,
@@ -38,8 +36,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		BytesWritten:    reg.Counter("lockdoc_segstore_bytes_written_total", "compressed segment bytes published"),
 		BlocksInflated:  reg.Counter("lockdoc_segstore_blocks_inflated_total", "segment blocks decompressed"),
 		BlocksReused:    reg.Counter("lockdoc_segstore_blocks_reused_total", "group blocks copied forward from the previous state segment"),
-		BlockCacheHits:  reg.Counter("lockdoc_segstore_block_cache_hits_total", "block reads served from the decompressed-block cache"),
-		BlocksEvicted:   reg.Counter("lockdoc_segstore_blocks_evicted_total", "decompressed blocks evicted from the cache"),
 	}
 }
 
@@ -79,17 +75,5 @@ func (m *Metrics) loaded(start time.Time) {
 func (m *Metrics) inflated() {
 	if m != nil {
 		m.BlocksInflated.Inc()
-	}
-}
-
-func (m *Metrics) cacheHit() {
-	if m != nil {
-		m.BlockCacheHits.Inc()
-	}
-}
-
-func (m *Metrics) evicted() {
-	if m != nil {
-		m.BlocksEvicted.Inc()
 	}
 }

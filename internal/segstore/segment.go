@@ -221,14 +221,6 @@ func parseSegment(name string, data []byte) (*segment, error) {
 	return seg, nil
 }
 
-// inflateBlock verifies the block CRC and decompresses it into a fresh
-// slice (never aliasing the mapping, so callers may hold the result
-// past segment retirement).
-func (s *segment) inflateBlock(i int) ([]byte, error) {
-	var f inflater
-	return f.inflate(s, i, nil)
-}
-
 // inflater decompresses blocks through one DEFLATE reader, reset for
 // each block, so a run of blocks pays for one reader's tables and
 // window instead of one per block.
@@ -239,7 +231,8 @@ type inflater struct {
 }
 
 // inflate verifies the CRC of block i of s and decompresses it into
-// dst's storage, growing it as needed.
+// dst's storage, growing it as needed. The result never aliases the
+// mapping, so it stays valid past the segment's retirement.
 func (f *inflater) inflate(s *segment, i int, dst []byte) ([]byte, error) {
 	b := s.blocks[i]
 	comp := s.data[b.off : b.off+b.comp]

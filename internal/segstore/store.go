@@ -20,13 +20,13 @@
 // re-encoded.
 //
 // Segment files are mmap'd on open (with a read-into-memory fallback
-// off unix or when a custom FS is injected), and decompressed blocks
-// go through a small LRU so resident memory stays bounded no matter
-// how large the store grows.
+// off unix or when a custom FS is injected). Every block read goes
+// through Store.readBlock, which inflates into its reader's one buffer:
+// a group block is inflated once, into the group that keeps its
+// observations, and no other decompressed copy stays resident.
 package segstore
 
 import (
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lockdoc/internal/db"
@@ -57,12 +58,9 @@ const (
 	// traceChunk is the raw-byte span of one compressed block inside a
 	// trace segment. Chunk boundaries are invisible to readers — the
 	// trace reader concatenates inflated blocks into one byte stream —
-	// so the value only tunes compression granularity vs cache churn.
+	// so the value only tunes compression granularity against the size
+	// of the trace reader's one buffer.
 	traceChunk = 256 << 10
-
-	// DefaultCacheBlocks bounds the decompressed-block LRU when
-	// Options.CacheBlocks is zero.
-	DefaultCacheBlocks = 64
 )
 
 // ErrClosed reports use of a store after Close.
@@ -79,10 +77,6 @@ type Options struct {
 	// tests). nil means the real filesystem, which also enables mmap;
 	// any other FS reads segments through FS.ReadFile instead.
 	FS manifest.FS
-
-	// CacheBlocks bounds the decompressed-block LRU, in blocks.
-	// 0 means DefaultCacheBlocks.
-	CacheBlocks int
 
 	Metrics *Metrics
 }
@@ -104,28 +98,15 @@ type Store struct {
 	segs    map[string]*segment // opened segments by entry name
 	retired []*segment          // superseded but possibly still referenced by snapshots
 	dirty   bool                // manifest tail may hold a torn line from a failed append
-	closed  bool
+
+	// closed is set under mu and read without it by readBlock.
+	closed atomic.Bool
 
 	// prev is the copy-forward index Compact reuses blocks from; forgets
 	// counts its resets, so a Compact that raced one does not reinstall
 	// what was just released.
 	prev    copyForward
 	forgets uint64
-
-	cmu      sync.Mutex
-	cacheCap int
-	cache    map[blockKey]*list.Element
-	lru      *list.List // of *cacheEnt, front = most recent
-}
-
-type blockKey struct {
-	seg *segment
-	idx int
-}
-
-type cacheEnt struct {
-	key  blockKey
-	data []byte
 }
 
 // copyForward is what the last successful Compact of a sealed view
@@ -183,20 +164,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	manifest.RemoveTemps(fsys, dir, names)
 	manifest.Repair(fsys, dir)
 
-	cap := opts.CacheBlocks
-	if cap <= 0 {
-		cap = DefaultCacheBlocks
-	}
 	s := &Store{
-		dir:      dir,
-		fs:       fsys,
-		osfs:     osfs,
-		m:        opts.Metrics,
-		nextSeq:  1,
-		segs:     make(map[string]*segment),
-		cacheCap: cap,
-		cache:    make(map[blockKey]*list.Element),
-		lru:      list.New(),
+		dir:     dir,
+		fs:      fsys,
+		osfs:    osfs,
+		m:       opts.Metrics,
+		nextSeq: 1,
+		segs:    make(map[string]*segment),
 	}
 	for _, e := range manifest.Load(fsys, dir) {
 		if (e.Kind != KindTrace && e.Kind != KindState) || e.Name != segName(e.Seq) {
@@ -269,10 +243,10 @@ func (s *Store) HasTrace() bool {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil
 	}
-	s.closed = true
+	s.closed.Store(true)
 	var first error
 	for _, seg := range s.segs {
 		if err := seg.close(); err != nil && first == nil {
@@ -287,10 +261,6 @@ func (s *Store) Close() error {
 	s.segs = nil
 	s.retired = nil
 	s.forgetLocked()
-	s.cmu.Lock()
-	s.cache = nil
-	s.lru = nil
-	s.cmu.Unlock()
 	return first
 }
 
@@ -389,7 +359,7 @@ func (s *Store) ResetTrace(raw []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	if err := s.repairLocked(); err != nil {
@@ -438,7 +408,7 @@ func (s *Store) AppendTrace(raw []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	if err := s.repairLocked(); err != nil {
@@ -459,10 +429,6 @@ func (s *Store) AppendTrace(raw []byte) error {
 	s.m.wrote(int(e.Size))
 	return nil
 }
-
-// CommitBlocks implements the trace follower's block sink: committed
-// sync-block ranges become trace segments.
-func (s *Store) CommitBlocks(raw []byte) error { return s.AppendTrace(raw) }
 
 // Compact implements db.Compactor: it encodes the sealed view as one
 // state segment (block 0 metadata, block i+1 group i, then the
@@ -524,7 +490,7 @@ func (s *Store) Compact(view *db.DB) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	if err := s.repairLocked(); err != nil {
@@ -573,7 +539,7 @@ func (s *Store) forgetLocked() {
 func (s *Store) segment(e manifest.Entry) (*segment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	if seg, ok := s.segs[e.Name]; ok {
@@ -610,93 +576,57 @@ func (s *Store) segment(e manifest.Entry) (*segment, error) {
 	return seg, nil
 }
 
-// blockData returns block i of seg decompressed, through the LRU.
-func (s *Store) blockData(seg *segment, i int) ([]byte, error) {
+// readBlock is the one way a block is read. It inflates block i of
+// seg through f into dst's storage, growing it as needed, after
+// checking that the store is open and that seg has a block i; each
+// reader owns its inflater and its buffer.
+func (s *Store) readBlock(f *inflater, seg *segment, i int, dst []byte) ([]byte, error) {
+	if s.closed.Load() {
+		return nil, ErrClosed
+	}
 	if i < 0 || i >= len(seg.blocks) {
 		return nil, fmt.Errorf("%w: %s: no block %d", ErrBadSegment, seg.name, i)
 	}
-	key := blockKey{seg: seg, idx: i}
-	s.cmu.Lock()
-	if s.cache == nil {
-		s.cmu.Unlock()
-		return nil, ErrClosed
-	}
-	if el, ok := s.cache[key]; ok {
-		s.lru.MoveToFront(el)
-		data := el.Value.(*cacheEnt).data
-		s.cmu.Unlock()
-		s.m.cacheHit()
-		return data, nil
-	}
-	s.cmu.Unlock()
-
-	// Inflate outside the cache lock; concurrent misses on the same
-	// block may duplicate work, which is harmless.
-	raw, err := seg.inflateBlock(i)
+	raw, err := f.inflate(seg, i, dst)
 	if err != nil {
 		return nil, err
 	}
 	s.m.inflated()
-
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	if s.cache == nil {
-		return raw, nil
-	}
-	if el, ok := s.cache[key]; ok {
-		s.lru.MoveToFront(el)
-		return el.Value.(*cacheEnt).data, nil
-	}
-	s.cache[key] = s.lru.PushFront(&cacheEnt{key: key, data: raw})
-	for s.lru.Len() > s.cacheCap {
-		back := s.lru.Back()
-		ent := back.Value.(*cacheEnt)
-		s.lru.Remove(back)
-		delete(s.cache, ent.key)
-		s.m.evicted()
-	}
 	return raw, nil
 }
 
 // stateSource binds a loaded snapshot to the state segment it came
 // from; it implements db.GroupSource for lazy group materialization.
+// Its one buffer is safe to reuse: the snapshot never runs two
+// HydrateGroup calls at once, and db.DecodeGroupObs copies every value
+// it keeps.
 type stateSource struct {
 	s   *Store
 	seg *segment
+	f   inflater
+	buf []byte
 }
 
 func (src *stateSource) HydrateGroup(idx int, g *db.ObsGroup) error {
-	data, err := src.s.blockData(src.seg, idx+1)
+	raw, err := src.s.readBlock(&src.f, src.seg, idx+1, src.buf)
 	if err != nil {
 		return err
 	}
-	return db.DecodeGroupObs(data, g)
-}
-
-// inflateOnce inflates block i of seg through f into dst's storage,
-// past the block cache: for a block read once.
-func (s *Store) inflateOnce(f *inflater, seg *segment, i int, dst []byte) ([]byte, error) {
-	if i >= len(seg.blocks) {
-		return nil, fmt.Errorf("%w: %s: no block %d", ErrBadSegment, seg.name, i)
-	}
-	raw, err := f.inflate(seg, i, dst)
-	if err == nil {
-		s.m.inflated()
-	}
-	return raw, err
+	src.buf = raw
+	return db.DecodeGroupObs(raw, g)
 }
 
 // LoadState decodes the newest usable state segment into a sealed
 // snapshot whose observation groups hydrate lazily from this store.
 // Block 0 and the definition chunks are read once, through one
-// inflater, and skip the block cache. Damaged candidates, and states of another format
-// version, are skipped in favour of older ones; (nil, false, nil) means
-// no usable state exists and the caller should fall back to replaying
-// the trace.
+// inflater. Damaged candidates, and states of another format version,
+// are skipped in favour of older ones; (nil, false, nil) means no
+// usable state exists and the caller should fall back to replaying the
+// trace.
 func (s *Store) LoadState() (*db.DB, bool, error) {
 	start := time.Now()
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return nil, false, ErrClosed
 	}
@@ -717,7 +647,7 @@ func (s *Store) LoadState() (*db.DB, bool, error) {
 			continue // damaged or missing: try the previous generation
 		}
 		var f inflater
-		meta, err := s.inflateOnce(&f, seg, 0, nil)
+		meta, err := s.readBlock(&f, seg, 0, nil)
 		if err != nil {
 			s.m.invalid()
 			continue
@@ -729,7 +659,7 @@ func (s *Store) LoadState() (*db.DB, bool, error) {
 		}
 		var raw []byte
 		chunk := func(j int) (_ []byte, err error) {
-			raw, err = s.inflateOnce(&f, seg, 1+groups+j, raw)
+			raw, err = s.readBlock(&f, seg, 1+groups+j, raw)
 			return raw, err
 		}
 		d, err := db.DecodeState(meta, chunk, &stateSource{s: s, seg: seg})
@@ -743,35 +673,24 @@ func (s *Store) LoadState() (*db.DB, bool, error) {
 	return nil, false, nil
 }
 
-// DropCache empties the decompressed-block cache and forgets the
-// copy-forward index without closing the store: mapped segments stay
-// readable, the next hydration simply re-inflates and the next Compact
-// encodes every group. lockdocd calls it when a namespace is evicted
-// under memory pressure — the mmap itself costs no heap, the inflated
-// blocks and the groups the index pins do. Safe against concurrent
-// reads; a no-op on a closed store.
+// DropCache forgets the copy-forward index without closing the store:
+// mapped segments stay readable and the next Compact encodes every
+// group. lockdocd calls it when a namespace is evicted under memory
+// pressure — the mmap itself costs no heap, the groups and the segment
+// bytes the index pins do. Safe against concurrent use; a no-op on a
+// closed store.
 func (s *Store) DropCache() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.forgetLocked()
-	s.mu.Unlock()
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	if s.cache == nil {
-		return
-	}
-	for range s.cache {
-		s.m.evicted()
-	}
-	s.cache = make(map[blockKey]*list.Element)
-	s.lru.Init()
 }
 
 // TraceReader streams the store's trace — bare v2 sync blocks, ready
 // for trace.NewContinuationReader — concatenated across trace segments
 // in order. A damaged or missing segment truncates the stream at the
 // last valid point, mirroring how a torn trace file loads: the valid
-// prefix survives. Decompression is streamed block by block and
-// bypasses the LRU so a full replay does not evict hot state blocks.
+// prefix survives. Decompression is streamed block by block through
+// the reader's one inflater and buffer.
 func (s *Store) TraceReader() io.Reader {
 	s.mu.Lock()
 	var entries []manifest.Entry
@@ -818,7 +737,7 @@ func (s *Store) RepairTrace() (int, error) {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if s.closed {
+		if s.closed.Load() {
 			return 0, ErrClosed
 		}
 		keep, drop := s.entries[:i:i], s.entries[i:]
@@ -839,7 +758,9 @@ type traceReader struct {
 	segs []*segment
 	segi int
 	blki int
-	cur  []byte
+	f    inflater
+	buf  []byte // the last block inflated
+	cur  []byte // its unread tail
 }
 
 func (r *traceReader) Read(p []byte) (int, error) {
@@ -853,13 +774,12 @@ func (r *traceReader) Read(p []byte) (int, error) {
 			r.blki = 0
 			continue
 		}
-		raw, err := seg.inflateBlock(r.blki)
+		raw, err := r.s.readBlock(&r.f, seg, r.blki, r.buf)
 		if err != nil {
 			return 0, err
 		}
-		r.s.m.inflated()
 		r.blki++
-		r.cur = raw
+		r.buf, r.cur = raw, raw
 	}
 	n := copy(p, r.cur)
 	r.cur = r.cur[n:]

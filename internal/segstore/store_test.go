@@ -3,6 +3,7 @@ package segstore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -301,8 +302,84 @@ func TestCompactSupersedesOldState(t *testing.T) {
 	}
 }
 
+// TestBlockCacheEviction checks the read path that replaced the
+// decompressed-block cache, on a reopened store: hydrating every group
+// costs exactly one inflation per group, whether the groups hydrate one
+// by one or through parallel derivation (whose workers share the
+// snapshot's one inflater and buffer), and afterwards every group
+// renders as it did in the sealed view that was compacted.
 func TestBlockCacheEviction(t *testing.T) {
-	raw := buildRaw(t, 300)
+	raw := blkRaw(t)
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ResetTrace(raw); err != nil {
+		t.Fatal(err)
+	}
+	sealed := importRaw(t, raw)
+	if err := s.Compact(sealed); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	want := exportCSV(t, sealed)
+
+	m := NewMetrics(obs.NewRegistry())
+	s2, err := Open(dir, Options{Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for _, tc := range []struct {
+		name    string
+		hydrate func(*db.DB) error
+	}{
+		{"sequential", func(d *db.DB) error {
+			for _, g := range d.Groups() {
+				if err := d.Hydrate(g); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"DeriveAll", func(d *db.DB) error {
+			_, err := core.DeriveAll(context.Background(), d,
+				core.Options{AcceptThreshold: core.DefaultAcceptThreshold, Parallelism: 4})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, ok, err := s2.LoadState()
+			if err != nil || !ok {
+				t.Fatalf("LoadState: ok=%v err=%v", ok, err)
+			}
+			groups := uint64(snap.GroupCount())
+			before := m.BlocksInflated.Value()
+			if err := tc.hydrate(snap); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.BlocksInflated.Value() - before; got != groups {
+				t.Errorf("hydrating %d groups inflated %d blocks, want one each", groups, got)
+			}
+			if got := exportCSV(t, snap); !bytes.Equal(got, want) {
+				t.Errorf("hydrated groups differ from the compacted view (%d vs %d CSV bytes)", len(got), len(want))
+			}
+			if got := m.BlocksInflated.Value() - before; got != groups {
+				t.Errorf("rendering hydrated groups inflated %d more blocks", got-groups)
+			}
+			if err := snap.HydrateErr(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestReadAfterClose: once the store is closed, a stub group's
+// hydration and a trace reader opened before the Close both fail with
+// ErrClosed instead of reading the released segment bytes.
+func TestReadAfterClose(t *testing.T) {
+	raw := buildRaw(t, 100)
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
@@ -316,27 +393,23 @@ func TestBlockCacheEviction(t *testing.T) {
 	}
 	s.Close()
 
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	s2, err := Open(dir, Options{CacheBlocks: 1, Metrics: m})
+	s, err = Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	snap, ok, err := s2.LoadState()
+	snap, ok, err := s.LoadState()
 	if err != nil || !ok {
 		t.Fatalf("LoadState: ok=%v err=%v", ok, err)
 	}
-	exportCSV(t, snap) // hydrates every group through a 1-block cache
-	if m.BlocksEvicted.Value() == 0 {
-		t.Error("no evictions through a 1-block cache")
-	}
-	if m.BlocksInflated.Value() == 0 {
-		t.Error("no inflations recorded")
-	}
-	// Hydration results stay valid after eviction (copies, not views).
-	if err := snap.HydrateErr(); err != nil {
+	r := s.TraceReader()
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := snap.Hydrate(snap.Groups()[0]); !errors.Is(err, ErrClosed) {
+		t.Errorf("hydrating a stub after Close: %v, want ErrClosed", err)
+	}
+	if n, err := r.Read(make([]byte, 64)); n != 0 || !errors.Is(err, ErrClosed) {
+		t.Errorf("reading the trace after Close: %d bytes, %v; want ErrClosed", n, err)
 	}
 }
 

@@ -96,8 +96,7 @@ func deriveErr(w http.ResponseWriter, err error) {
 
 // snapshotOr503 fetches the namespace's published snapshot or answers
 // 503. dispatch already re-opened evicted namespaces and 503ed empty
-// ones for wantsSnapshot routes, so for those this is a belt; it keeps
-// handlers correct if called outside dispatch (tests, future routes).
+// ones for wantsSnapshot routes, so for those this is a belt.
 func (ns *namespace) snapshotOr503(w http.ResponseWriter) *Snapshot {
 	snap := ns.snapshot()
 	if snap == nil {
@@ -106,40 +105,25 @@ func (ns *namespace) snapshotOr503(w http.ResponseWriter) *Snapshot {
 	return snap
 }
 
-// deriveOptions parses the shared derivation query parameters
-// (tac, tco, max_locks, naive).
-func deriveOptions(r *http.Request) (core.Options, error) {
+// deriveOptions reads the shared derivation query parameters (tac,
+// tco, max_locks, naive), which dispatch has already validated against
+// deriveParams.
+func deriveOptions(r *http.Request) core.Options {
 	opt := core.Options{AcceptThreshold: core.DefaultAcceptThreshold}
 	q := r.URL.Query()
 	if v := q.Get("tac"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 || f > 1 {
-			return opt, fmt.Errorf("bad tac %q: want a float in (0, 1]", v)
-		}
-		opt.AcceptThreshold = f
+		opt.AcceptThreshold, _ = strconv.ParseFloat(v, 64)
 	}
 	if v := q.Get("tco"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 || f > 1 {
-			return opt, fmt.Errorf("bad tco %q: want a float in [0, 1]", v)
-		}
-		opt.CutoffThreshold = f
+		opt.CutoffThreshold, _ = strconv.ParseFloat(v, 64)
 	}
 	if v := q.Get("max_locks"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return opt, fmt.Errorf("bad max_locks %q: want a non-negative integer", v)
-		}
-		opt.MaxLocks = n
+		opt.MaxLocks, _ = strconv.Atoi(v)
 	}
 	if v := q.Get("naive"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return opt, fmt.Errorf("bad naive %q: want a boolean", v)
-		}
-		opt.Naive = b
+		opt.Naive, _ = strconv.ParseBool(v)
 	}
-	return opt, nil
+	return opt
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -229,12 +213,7 @@ func (s *Server) handleRules(ns *namespace, w http.ResponseWriter, r *http.Reque
 	if snap == nil {
 		return
 	}
-	opt, err := deriveOptions(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	results, err := s.derive(r.Context(), ns, snap, opt)
+	results, err := s.derive(r.Context(), ns, snap, deriveOptions(r))
 	if err != nil {
 		deriveErr(w, err)
 		return
@@ -267,21 +246,11 @@ func (s *Server) handleViolations(ns *namespace, w http.ResponseWriter, r *http.
 	if snap == nil {
 		return
 	}
-	opt, err := deriveOptions(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
 	max := 20
 	if v := r.URL.Query().Get("max"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, "bad max %q: want a non-negative integer", v)
-			return
-		}
-		max = n
+		max, _ = strconv.Atoi(v) // validated by dispatch (maxParam)
 	}
-	results, err := s.derive(r.Context(), ns, snap, opt)
+	results, err := s.derive(r.Context(), ns, snap, deriveOptions(r))
 	if err != nil {
 		deriveErr(w, err)
 		return
@@ -310,17 +279,8 @@ func (s *Server) handleDoc(ns *namespace, w http.ResponseWriter, r *http.Request
 	if snap == nil {
 		return
 	}
-	label := r.URL.Query().Get("type")
-	if label == "" {
-		writeErr(w, http.StatusBadRequest, "missing required parameter: type (e.g. type=inode:ext4)")
-		return
-	}
-	opt, err := deriveOptions(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	results, err := s.derive(r.Context(), ns, snap, opt)
+	label := r.URL.Query().Get("type") // required: dispatch rejects a request without it
+	results, err := s.derive(r.Context(), ns, snap, deriveOptions(r))
 	if err != nil {
 		deriveErr(w, err)
 		return
@@ -446,7 +406,7 @@ func (s *Server) handleTraceUpload(ns *namespace, w http.ResponseWriter, r *http
 
 	body := http.MaxBytesReader(w, r.Body, s.maxBody())
 	counted := &countingReader{r: body}
-	switch mode := r.URL.Query().Get("mode"); mode {
+	switch r.URL.Query().Get("mode") { // dispatch rejects any other mode
 	case "", "replace":
 		snap, err := ns.loadTrace(counted, "upload")
 		if err != nil {
@@ -488,8 +448,6 @@ func (s *Server) handleTraceUpload(ns *namespace, w http.ResponseWriter, r *http
 			"delta_ms":     stats.Elapsed.Milliseconds(),
 			"degraded":     snap.DB.DegradedSummary(),
 		})
-	default:
-		writeErr(w, http.StatusBadRequest, "bad mode %q: want replace or append", mode)
 	}
 }
 

@@ -49,9 +49,10 @@ type namespace struct {
 	// mu serializes every mutation of the ingestion state — loads,
 	// appends, store reopen, eviction — exactly like the old server-
 	// wide loadMu, but per tenant: unrelated namespaces ingest
-	// concurrently.
+	// concurrently. sd holds the appendable live store (sd.Live()); nil
+	// before the first load and after an eviction or a reopen from
+	// compacted state.
 	mu    sync.Mutex
-	live  *db.DB
 	sd    *core.StreamDeriver
 	gen   uint64
 	epoch uint64
@@ -167,8 +168,6 @@ func (ns *namespace) loadTrace(r io.Reader, source string) (*Snapshot, error) {
 		LoadedAt: time.Now().UTC(),
 		Checks:   checks,
 	}
-	ns.dropLiveLocked()
-	ns.live = live
 	ns.sd = sd
 	ns.snap.Store(snap)
 	ns.cache.reset()
@@ -212,7 +211,7 @@ func (ns *namespace) appendTrace(r io.Reader, source string) (*Snapshot, AppendS
 	if snap := ns.snap.Load(); snap != nil {
 		prev = snap.DB
 	}
-	if ns.live == nil {
+	if ns.sd == nil {
 		if ns.store == nil || !ns.store.HasTrace() {
 			return nil, stats, ErrNoBaseSnapshot
 		}
@@ -332,8 +331,7 @@ func (ns *namespace) replayLocked() (*db.DB, []core.Result, error) {
 		return nil, nil, fmt.Errorf("server: store trace contains no decodable observations%s",
 			degradedSuffix(view))
 	}
-	ns.dropLiveLocked()
-	ns.live, ns.sd = live, sd
+	ns.sd = sd
 	s.settleResident(ns, replayed.n)
 	return view, results, nil
 }
@@ -341,7 +339,7 @@ func (ns *namespace) replayLocked() (*db.DB, []core.Result, error) {
 // dropLiveLocked releases the appendable live store and its deriver.
 // Caller holds ns.mu.
 func (ns *namespace) dropLiveLocked() {
-	ns.live, ns.sd = nil, nil
+	ns.sd = nil
 }
 
 // storeFootprint is the resident-byte estimate of a namespace opened

@@ -494,9 +494,9 @@ func (s *Server) evictFor(exclude *namespace, n int64) {
 }
 
 // evictNS drops a namespace's in-memory state — snapshot, deriver,
-// live store, derivation cache, decompressed segment blocks — while
-// keeping the on-disk store, so the next request re-opens via the
-// compacted-state fast path. The store itself stays open: snapshots
+// live store, derivation cache, and the groups the store's copy-forward
+// index pins — while keeping the on-disk store, so the next request
+// re-opens via the compacted-state fast path. The store itself stays open: snapshots
 // already handed to in-flight requests hydrate groups through it, and
 // an open mmap costs address space, not heap. Refuses (returns false)
 // when the namespace is busy or has no durable copy to come back from.
