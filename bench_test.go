@@ -955,11 +955,14 @@ var (
 // BenchmarkServeRead measures one request of each lockdocd read route
 // on the serve-read workload's input (the scale-1 kernel mix,
 // PreemptEvery 97, seed 1), loaded into a default-configured server
-// and driven through the real handler stack. rules is a rule-cache
-// hit, so it times rendering and encoding; rules_tac cycles through
-// more thresholds than the rule cache holds, so every request selects
-// from the loaded table and renders; doc cycles through the type
-// labels. The load is outside the timer.
+// and driven through the real handler stack. rules, checks and stats
+// ask without parameters, so after the first request of each the
+// snapshot's body memo answers them: they time routing and writing the
+// memoized body. rules_tac cycles through more thresholds than the rule
+// cache holds, so every request selects from the loaded table, renders
+// and encodes; violations_summary derives from the cached selection,
+// renders and encodes; doc cycles through the type labels. The load is
+// outside the timer.
 func BenchmarkServeRead(b *testing.B) {
 	serveOnce.Do(func() {
 		var err error

@@ -247,23 +247,127 @@ func (c *Client) dataJSON(ctx context.Context, method, p string, q url.Values, b
 	if err != nil {
 		return err
 	}
-	var env struct {
-		Data json.RawMessage `json:"data"`
-	}
-	if err := json.Unmarshal(raw, &env); err != nil {
+	data, err := envelopeData(raw)
+	if err != nil {
 		return fmt.Errorf("apiclient: decoding envelope: %w", err)
 	}
 	if out == nil {
 		return nil
 	}
 	if rm, ok := out.(*json.RawMessage); ok {
-		*rm = env.Data
+		*rm = data
 		return nil
 	}
-	if err := json.Unmarshal(env.Data, out); err != nil {
+	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("apiclient: decoding payload: %w", err)
 	}
 	return nil
+}
+
+// envelopeData returns the "data" member of an envelope body, as
+// json.Unmarshal into a struct with a json.RawMessage field tagged
+// "data" would, but as a subslice of raw instead of a copy. The body is
+// validated whole first; then one walk over its top-level object finds
+// the member, matching keys the way encoding/json does: escapes
+// decoded, case-insensitively, the last occurrence winning. A body
+// without the member yields nil. An invalid body, or a valid one that
+// is not an object, goes through json.Unmarshal, so its error (or, for
+// null, its nil data) is exactly encoding/json's.
+func envelopeData(raw []byte) (json.RawMessage, error) {
+	i := skipSpace(raw, 0)
+	if !json.Valid(raw) || raw[i] != '{' {
+		var env struct {
+			Data json.RawMessage `json:"data"`
+		}
+		err := json.Unmarshal(raw, &env)
+		return env.Data, err
+	}
+	var data json.RawMessage
+	for i = skipSpace(raw, i+1); raw[i] == '"'; {
+		k := i
+		i = skipString(raw, i)
+		key := raw[k:i]
+		i = skipSpace(raw, skipSpace(raw, i)+1) // past the colon
+		v := i
+		i = skipValue(raw, i)
+		if dataKey(key) {
+			data = raw[v:i:i]
+		}
+		if i = skipSpace(raw, i); raw[i] == ',' {
+			i = skipSpace(raw, i+1)
+		}
+	}
+	return data, nil
+}
+
+// The skip helpers walk JSON that json.Valid has accepted, so they need
+// not check what they skip. They look only at the bytes the stop tables
+// mark, which is most of their speed: a /v1 body is mostly indentation
+// and string contents.
+var (
+	stringStops    = [256]bool{'"': true, '\\': true}
+	containerStops = [256]bool{'"': true, '{': true, '[': true, '}': true, ']': true}
+)
+
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// skipString returns the index just past the string starting at b[i].
+func skipString(b []byte, i int) int {
+	for i++; ; i += 2 { // past a backslash and the byte it escapes
+		for !stringStops[b[i]] {
+			i++
+		}
+		if b[i] == '"' {
+			return i + 1
+		}
+	}
+}
+
+// skipValue returns the index just past the value starting at b[i].
+func skipValue(b []byte, i int) int {
+	switch b[i] {
+	case '"':
+		return skipString(b, i)
+	case '{', '[':
+		depth := 0
+		for ; ; i++ {
+			for !containerStops[b[i]] {
+				i++
+			}
+			switch b[i] {
+			case '"':
+				i = skipString(b, i) - 1
+			case '{', '[':
+				depth++
+			default: // '}' or ']'
+				if depth--; depth == 0 {
+					return i + 1
+				}
+			}
+		}
+	}
+	// A number, true, false or null: it runs to the next delimiter.
+	for i < len(b) && b[i] != ',' && b[i] != '}' && b[i] != ']' && b[i] != ' ' &&
+		b[i] != '\t' && b[i] != '\n' && b[i] != '\r' {
+		i++
+	}
+	return i
+}
+
+// dataKey reports whether the quoted object key q selects the "data"
+// field: encoding/json matches a key against a field name with
+// bytes.EqualFold once it has unquoted it.
+func dataKey(q []byte) bool {
+	if bytes.IndexByte(q, '\\') < 0 {
+		return bytes.EqualFold(q[1:len(q)-1], []byte("data"))
+	}
+	var key string
+	return json.Unmarshal(q, &key) == nil && strings.EqualFold(key, "data")
 }
 
 func (c *Client) doSleep(ctx context.Context, d time.Duration) error {

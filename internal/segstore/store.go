@@ -689,8 +689,11 @@ func (s *Store) DropCache() {
 // for trace.NewContinuationReader — concatenated across trace segments
 // in order. A damaged or missing segment truncates the stream at the
 // last valid point, mirroring how a torn trace file loads: the valid
-// prefix survives. Decompression is streamed block by block through
-// the reader's one inflater and buffer.
+// prefix survives. Any other failure to open a segment (ErrClosed, a
+// transient read fault, EMFILE, EIO) is not damage, so it does not cut
+// the stream: the reader's first Read returns it. Decompression is
+// streamed block by block through the reader's one inflater and
+// buffer.
 func (s *Store) TraceReader() io.Reader {
 	s.mu.Lock()
 	var entries []manifest.Entry
@@ -704,8 +707,11 @@ func (s *Store) TraceReader() io.Reader {
 	var segs []*segment
 	for _, e := range entries {
 		seg, err := s.segment(e)
-		if err != nil {
+		if errors.Is(err, ErrBadSegment) || errors.Is(err, fs.ErrNotExist) {
 			break // truncate the chain at the first damaged segment
+		}
+		if err != nil {
+			return &traceReader{err: err}
 		}
 		segs = append(segs, seg)
 	}
@@ -761,9 +767,13 @@ type traceReader struct {
 	f    inflater
 	buf  []byte // the last block inflated
 	cur  []byte // its unread tail
+	err  error  // a segment that failed to open for a reason other than damage
 }
 
 func (r *traceReader) Read(p []byte) (int, error) {
+	if r.err != nil {
+		return 0, r.err
+	}
 	for len(r.cur) == 0 {
 		if r.segi >= len(r.segs) {
 			return 0, io.EOF

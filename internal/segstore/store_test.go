@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -377,7 +378,9 @@ func TestBlockCacheEviction(t *testing.T) {
 
 // TestReadAfterClose: once the store is closed, a stub group's
 // hydration and a trace reader opened before the Close both fail with
-// ErrClosed instead of reading the released segment bytes.
+// ErrClosed instead of reading the released segment bytes, and a trace
+// reader opened after the Close fails with ErrClosed instead of reading
+// as an empty chain.
 func TestReadAfterClose(t *testing.T) {
 	raw := buildRaw(t, 100)
 	dir := t.TempDir()
@@ -410,6 +413,9 @@ func TestReadAfterClose(t *testing.T) {
 	}
 	if n, err := r.Read(make([]byte, 64)); n != 0 || !errors.Is(err, ErrClosed) {
 		t.Errorf("reading the trace after Close: %d bytes, %v; want ErrClosed", n, err)
+	}
+	if n, err := s.TraceReader().Read(make([]byte, 64)); n != 0 || !errors.Is(err, ErrClosed) {
+		t.Errorf("a trace reader opened after Close: %d bytes, %v; want ErrClosed", n, err)
 	}
 }
 
@@ -625,6 +631,27 @@ func TestReopenDamage(t *testing.T) {
 		}
 		if got, want := renderDoc(t, d.Seal()), renderDoc(t, importRaw(t, raw)); got != want {
 			t.Errorf("replayed doc differs from the batch render of the full chain:\n--- want\n%s\n--- got\n%s", want, got)
+		}
+	})
+
+	t.Run("trace-reader-transient-fault", func(t *testing.T) {
+		// A transient fault opening a trace segment is not damage: the
+		// reader returns it instead of ending the replay early, and a
+		// reader opened once the fault has cleared replays every segment.
+		dir := build(t)
+		ffs := faultinject.NewFaultFS(manifest.OSFS{})
+		s, err := Open(dir, Options{FS: ffs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ffs.Clear()
+		ffs.FailN(faultinject.OpRead, 0, 1, true)
+		if n, err := io.Copy(io.Discard, s.TraceReader()); n != 0 || !faultinject.IsInjected(err) {
+			t.Fatalf("replay under a transient read fault: %d bytes, %v; want 0 and the fault", n, err)
+		}
+		if got := len(storeEvents(t, s)); got != wantEvents {
+			t.Fatalf("replay after the fault cleared: %d events, want %d", got, wantEvents)
 		}
 	})
 

@@ -130,6 +130,55 @@ func (c *ruleCache) reset() {
 	c.selections.reset()
 }
 
+// memoRoute names a JSON read route whose parameterless body a
+// snapshot memoizes. The legacy aliases share their /v1/ns/{ns} route's
+// slot: both resolve to the same namespace, hence the same snapshot.
+type memoRoute int
+
+const (
+	memoRules memoRoute = iota
+	memoChecks
+	memoViolations
+	memoStats
+	memoRoutes // the number of memoized routes
+)
+
+// derives reports whether the route's body is built from derive's
+// results.
+func (r memoRoute) derives() bool { return r == memoRules || r == memoViolations }
+
+// bodyMemo is a snapshot's memo of the complete envelope body of each
+// JSON read route asked with no query parameters. Such a body depends on
+// the snapshot alone: /rules and /violations select with the default
+// options, /checks and /stats render fields fixed at publication. The
+// memo lives and dies with its snapshot: an append, a reload and the
+// reopen after an eviction each publish a new snapshot with an empty
+// memo, so nothing is ever invalidated. The route table bounds it to four bodies: 142 KB
+// on the kernel mix, 101 KB of it /rules. Requests with parameters are
+// not memoized: only what clients ask bounds their number, and 64
+// ?tac= selections of the kernel mix's /rules would hold 6.5 MB.
+type bodyMemo [memoRoutes]memoSlot
+
+// memoSlot holds one route's body. Its mutex makes the build single
+// flight: concurrent first requests build once while the rest wait.
+type memoSlot struct {
+	mu   sync.Mutex
+	body []byte
+}
+
+// get returns the slot's body, building it first if the slot is empty,
+// and whether it was already there. A failed build returns nil and
+// leaves the slot empty, so the next request builds again.
+func (m *memoSlot) get(build func() []byte) (body []byte, hit bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.body != nil {
+		return m.body, true
+	}
+	m.body = build()
+	return m.body, false
+}
+
 // lru is a mutex-guarded LRU of entries. An entry evicted while a
 // goroutine still holds it stays valid for that goroutine; it is
 // simply no longer findable and frees its memory afterwards.

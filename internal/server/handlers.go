@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -63,16 +64,23 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeBody(w, status, "application/json", body)
 }
 
-// writeData emits the success envelope with the given status. A
-// payload that does not encode (a NaN, say) is answered with a 500
-// envelope, never with the status and an empty body.
+// writeData emits the success envelope with the given status.
 func writeData(w http.ResponseWriter, status int, v any) {
+	if body := dataBody(w, v); body != nil {
+		writeBody(w, status, "application/json", body)
+	}
+}
+
+// dataBody encodes the success envelope of v. A payload that does not
+// encode (a NaN, say) is answered with a 500 envelope, never with a
+// success status and an empty body, and dataBody returns nil.
+func dataBody(w http.ResponseWriter, v any) []byte {
 	body, err := analysis.AppendJSON(nil, map[string]any{"data": v})
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "encoding the response: %s", err)
-		return
+		return nil
 	}
-	writeBody(w, status, "application/json", body)
+	return body
 }
 
 // writeBody sends a whole /v1 body with its Content-Length, so the
@@ -208,15 +216,41 @@ func (s *Server) handleNsDelete(ns *namespace, w http.ResponseWriter, _ *http.Re
 	writeData(w, http.StatusOK, map[string]string{"deleted": ns.name})
 }
 
-func (s *Server) handleRules(ns *namespace, w http.ResponseWriter, r *http.Request) {
+// bodyFunc builds a JSON read route's envelope body from snap. It
+// answers its own request and returns nil when it fails.
+type bodyFunc func(s *Server, ns *namespace, w http.ResponseWriter, r *http.Request, snap *Snapshot) []byte
+
+// serveRead answers a JSON read route with the body build makes from
+// the namespace's snapshot. Asked with no query parameters, the body
+// depends on the snapshot alone, so the snapshot memoizes it (see
+// bodyMemo); a failed build memoizes nothing. A memo hit on a route
+// that derives answers without calling derive, so it counts as a
+// rule-cache hit, as derive counts the hits it answers.
+func (s *Server) serveRead(ns *namespace, w http.ResponseWriter, r *http.Request, route memoRoute, build bodyFunc) {
 	snap := ns.snapshotOr503(w)
 	if snap == nil {
 		return
 	}
+	var body []byte
+	if r.URL.RawQuery != "" {
+		body = build(s, ns, w, r, snap)
+	} else {
+		var hit bool
+		body, hit = snap.memo[route].get(func() []byte { return build(s, ns, w, r, snap) })
+		if hit && route.derives() {
+			s.m.cacheHits.Inc()
+		}
+	}
+	if body != nil {
+		writeBody(w, http.StatusOK, "application/json", body)
+	}
+}
+
+func (s *Server) rulesBody(ns *namespace, w http.ResponseWriter, r *http.Request, snap *Snapshot) []byte {
 	results, err := s.derive(r.Context(), ns, snap, deriveOptions(r))
 	if err != nil {
 		deriveErr(w, err)
-		return
+		return nil
 	}
 	// type and hypotheses shape only the rendering, so they stay out of
 	// the cache key.
@@ -230,22 +264,14 @@ func (s *Server) handleRules(ns *namespace, w http.ResponseWriter, r *http.Reque
 		results = kept
 	}
 	hyps := r.URL.Query().Get("hypotheses") == "true"
-	writeData(w, http.StatusOK, analysis.RulesJSON(snap.DB, results, hyps))
+	return dataBody(w, analysis.RulesJSON(snap.DB, results, hyps))
 }
 
-func (s *Server) handleChecks(ns *namespace, w http.ResponseWriter, _ *http.Request) {
-	snap := ns.snapshotOr503(w)
-	if snap == nil {
-		return
-	}
-	writeData(w, http.StatusOK, analysis.ChecksJSON(snap.Checks))
+func (s *Server) checksBody(_ *namespace, w http.ResponseWriter, _ *http.Request, snap *Snapshot) []byte {
+	return dataBody(w, analysis.ChecksJSON(snap.Checks))
 }
 
-func (s *Server) handleViolations(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	snap := ns.snapshotOr503(w)
-	if snap == nil {
-		return
-	}
+func (s *Server) violationsBody(ns *namespace, w http.ResponseWriter, r *http.Request, snap *Snapshot) []byte {
 	max := 20
 	if v := r.URL.Query().Get("max"); v != "" {
 		max, _ = strconv.Atoi(v) // validated by dispatch (maxParam)
@@ -253,7 +279,7 @@ func (s *Server) handleViolations(ns *namespace, w http.ResponseWriter, r *http.
 	results, err := s.derive(r.Context(), ns, snap, deriveOptions(r))
 	if err != nil {
 		deriveErr(w, err)
-		return
+		return nil
 	}
 	viols := analysis.FindViolations(snap.DB, results)
 	if r.URL.Query().Get("summary") == "true" {
@@ -268,10 +294,9 @@ func (s *Server) handleViolations(ns *namespace, w http.ResponseWriter, r *http.
 		for _, s := range sums {
 			out = append(out, row{Type: s.TypeLabel, Events: s.Events, Members: s.Members, Contexts: s.Contexts})
 		}
-		writeData(w, http.StatusOK, out)
-		return
+		return dataBody(w, out)
 	}
-	writeData(w, http.StatusOK, analysis.ViolationsJSON(analysis.Examples(snap.DB, viols, max)))
+	return dataBody(w, analysis.ViolationsJSON(analysis.Examples(snap.DB, viols, max)))
 }
 
 func (s *Server) handleDoc(ns *namespace, w http.ResponseWriter, r *http.Request) {
@@ -332,11 +357,7 @@ type corruptionJSON struct {
 	BytesSkipped int64  `json:"bytes_skipped"`
 }
 
-func (s *Server) handleStats(ns *namespace, w http.ResponseWriter, _ *http.Request) {
-	snap := ns.snapshotOr503(w)
-	if snap == nil {
-		return
-	}
+func (s *Server) statsBody(_ *namespace, w http.ResponseWriter, _ *http.Request, snap *Snapshot) []byte {
 	d := snap.DB
 	out := statsJSON{
 		Generation: snap.Gen,
@@ -366,7 +387,7 @@ func (s *Server) handleStats(ns *namespace, w http.ResponseWriter, _ *http.Reque
 			Offset: c.Offset, Cause: fmt.Sprint(c.Cause), BytesSkipped: c.BytesSkipped,
 		})
 	}
-	writeData(w, http.StatusOK, out)
+	return dataBody(w, out)
 }
 
 // uploadErr maps an ingest failure onto the envelope: body-cap
@@ -452,12 +473,16 @@ func (s *Server) handleTraceUpload(ns *namespace, w http.ResponseWriter, r *http
 }
 
 type countingReader struct {
-	r interface{ Read([]byte) (int, error) }
-	n int64
+	r   interface{ Read([]byte) (int, error) }
+	n   int64
+	err error // the first error other than io.EOF the source returned
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
+	if err != nil && err != io.EOF && c.err == nil {
+		c.err = err
+	}
 	return n, err
 }

@@ -320,7 +320,14 @@ func (ns *namespace) replayLocked() (*db.DB, []core.Result, error) {
 	tr := trace.NewContinuationReader(replayed, s.cfg.Ingest)
 	live := db.New(s.importConfig())
 	sd := core.NewStreamDeriver(live, s.streamOptions())
-	if _, err := sd.Consume(tr); err != nil {
+	_, err := sd.Consume(tr)
+	if replayed.err != nil {
+		// The store could not read its own chain (closed, or a read
+		// fault): not the trace's damage, which a lenient decoder would
+		// charge it as, so retryable like RepairTrace's errors.
+		return nil, nil, fmt.Errorf("server: %w (%v)", ErrStoreWrite, replayed.err)
+	}
+	if err != nil {
 		return nil, nil, fmt.Errorf("server: replaying store trace: %w", err)
 	}
 	view, results, _, err := sd.Derive(s.stopCtx)

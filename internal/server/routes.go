@@ -123,20 +123,17 @@ var (
 // buildRoutes compiles the API surface. Order matters only for the
 // inventory rendering; matching is exact on (method, pattern).
 func buildRoutes() []route {
-	rules := func(s *Server, ns *namespace, w http.ResponseWriter, r *http.Request) {
-		s.handleRules(ns, w, r)
+	read := func(route memoRoute, build bodyFunc) func(*Server, *namespace, http.ResponseWriter, *http.Request) {
+		return func(s *Server, ns *namespace, w http.ResponseWriter, r *http.Request) {
+			s.serveRead(ns, w, r, route, build)
+		}
 	}
-	checks := func(s *Server, ns *namespace, w http.ResponseWriter, r *http.Request) {
-		s.handleChecks(ns, w, r)
-	}
-	violations := func(s *Server, ns *namespace, w http.ResponseWriter, r *http.Request) {
-		s.handleViolations(ns, w, r)
-	}
+	rules := read(memoRules, (*Server).rulesBody)
+	checks := read(memoChecks, (*Server).checksBody)
+	violations := read(memoViolations, (*Server).violationsBody)
+	stats := read(memoStats, (*Server).statsBody)
 	doc := func(s *Server, ns *namespace, w http.ResponseWriter, r *http.Request) {
 		s.handleDoc(ns, w, r)
-	}
-	stats := func(s *Server, ns *namespace, w http.ResponseWriter, r *http.Request) {
-		s.handleStats(ns, w, r)
 	}
 	traces := func(s *Server, ns *namespace, w http.ResponseWriter, r *http.Request) {
 		s.handleTraceUpload(ns, w, r)

@@ -19,7 +19,9 @@
 //   - a snapshot bundles one sealed view of the store with its
 //     generation number and the eagerly computed documented-rule
 //     checks; it is never mutated after publication, so request
-//     handlers read it without locks,
+//     handlers read it without locks. Only its memo of the
+//     parameterless JSON read bodies fills in, each body once, under
+//     its own lock (see bodyMemo),
 //   - derivation is memoized per namespace in two bounded LRUs (see
 //     ruleCache): mined hypothesis tables keyed by (MaxLocks, prune
 //     floor), and winner selections keyed by core.Options.Key(). Each
@@ -173,7 +175,7 @@ type Config struct {
 }
 
 // Snapshot is one sealed view of a namespace's trace store, immutable
-// after publication.
+// after publication but for its memo of response bodies.
 type Snapshot struct {
 	Gen   uint64 // advances on every publication (loads and appends)
 	Epoch uint64 // advances only when a full load replaces the store
@@ -185,6 +187,10 @@ type Snapshot struct {
 	// time so concurrent checks handlers never touch the store's
 	// mutable intern tables.
 	Checks []analysis.CheckResult
+
+	// memo holds the bodies of the parameterless JSON read routes,
+	// each built by the first request that asks for it.
+	memo bodyMemo
 }
 
 // AppendStats reports what one AppendTrace call did.

@@ -275,7 +275,7 @@ func bodies(t testing.TB, h http.Handler, prefix string, labels []string) output
 	for _, label := range labels {
 		doc.WriteString(get("/doc?type=" + url.QueryEscape(label)))
 	}
-	return outputs{"doc": doc.String(), "rules": get("/rules?hypotheses=true"),
+	return outputs{"doc": doc.String(), "rules": get("/rules?hypotheses=true"), "default rules": get("/rules"),
 		"violations": get("/violations?summary=true"), "checks": get("/checks")}
 }
 
@@ -290,6 +290,7 @@ func checkServer(t testing.TB, ref *reference) outputs {
 
 	h = server.New(server.Config{}).Handler()
 	post(t, h, "/v1/traces", ref.blocks[0])
+	bodies(t, h, "/v1/ns/default", nil) // memoized by the first snapshot, which the appends replace
 	post(t, h, "/v1/ns/default/traces?mode=append", ref.blocks[1:]...)
 	sameOutputs(t, "lockdocd append", want, bodies(t, h, "/v1/ns/default", ref.d.TypeLabels()))
 	// A legacy alias answers for the default namespace, deprecated.
