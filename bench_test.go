@@ -922,11 +922,11 @@ func BenchmarkDeriveDeepNesting(b *testing.B) {
 }
 
 // BenchmarkDeriveServeTacMiss measures one lockdocd /v1/rules?tac=
-// request that misses the rule cache on a loaded generation of the
-// deep-nesting fixture: every iteration asks for a threshold not asked
-// for before, through the real handler stack (routing, derivation
-// cache, rendering). The load itself, which mines the default options,
-// is outside the timer.
+// request that misses the snapshot's cached selections on a loaded
+// generation of the deep-nesting fixture: every iteration asks for a
+// threshold not asked for before, through the real handler stack
+// (routing, selecting from the snapshot's table, rendering). The load
+// itself, which mines the table, is outside the timer.
 func BenchmarkDeriveServeTacMiss(b *testing.B) {
 	deepFixture(b)
 	s := server.New(server.Config{Import: &db.Config{}})
@@ -958,11 +958,12 @@ var (
 // and driven through the real handler stack. rules, checks and stats
 // ask without parameters, so after the first request of each the
 // snapshot's body memo answers them: they time routing and writing the
-// memoized body. rules_tac cycles through more thresholds than the rule
-// cache holds, so every request selects from the loaded table, renders
-// and encodes; violations_summary derives from the cached selection,
-// renders and encodes; doc cycles through the type labels. The load is
-// outside the timer.
+// memoized body. rules_tac cycles through more thresholds than the
+// snapshot's selection LRU holds, so every request selects from the
+// loaded table, renders and encodes; violations_summary derives from
+// the cached selection, renders and encodes; doc cycles through the
+// type labels. The load, and collecting the previous route's garbage,
+// are outside the timer.
 func BenchmarkServeRead(b *testing.B) {
 	serveOnce.Do(func() {
 		var err error
@@ -994,6 +995,10 @@ func BenchmarkServeRead(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
+			// Collect the previous route's garbage outside the timer, so
+			// no route pays for another's.
+			runtime.GC()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, httptest.NewRequest("GET", c.path(i), nil))

@@ -1,8 +1,8 @@
 // Command lockdocd is the resident LockDoc analysis server: it keeps
 // imported traces in memory behind immutable snapshots and answers
-// rule, check, violation and documentation queries over HTTP from a
-// derivation cache instead of re-running the offline pipeline per
-// question.
+// rule, check, violation and documentation queries over HTTP from each
+// snapshot's mined hypothesis table and its cached selections instead
+// of re-running the offline pipeline per question.
 //
 // Usage:
 //
@@ -61,7 +61,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	fl := cli.Flags("lockdocd", stderr)
 	addr := fl.String("addr", "127.0.0.1:8750", "listen address")
 	tracePath := fl.String("trace", "", "trace file to preload as the first snapshot")
-	cacheSize := fl.Int("cache-size", server.DefaultCacheSize, "derivation cache capacity (result sets)")
+	cacheSize := fl.Int("cache-size", server.DefaultCacheSize, "rule selections each snapshot caches, one per distinct option set")
 	quiet := fl.Bool("quiet", false, "suppress the per-request access log")
 	storeDir := fl.String("store-dir", "", "directory for the crash-safe compressed segment store (empty = in-memory only); a restart reopens its compacted state instantly instead of re-importing")
 	maxBody := fl.Int64("max-body-bytes", 0, "largest accepted /v1/traces request body (0 = built-in 512 MiB cap)")

@@ -23,8 +23,8 @@ import (
 // derivation of the same snapshot — the differential oracle in the root
 // package (TestOracle, FuzzOracle) pins this.
 //
-// A DeltaDeriver is not safe for concurrent use; callers that share one
-// (the lockdocd rule cache) serialize access per options key.
+// A DeltaDeriver is not safe for concurrent use; its one user, the
+// StreamDeriver, runs one pass at a time.
 type DeltaDeriver struct {
 	opt   Options
 	cache map[*db.ObsGroup]Result

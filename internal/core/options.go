@@ -52,18 +52,6 @@ func (o Options) Floor() float64 {
 	return min(o.accept(), o.CutoffThreshold)
 }
 
-// TableOptions returns the options that mine the hypothesis table o
-// selects from: o's MaxLocks, pruned at o.Floor(), with every
-// hypothesis at or above the floor kept. Select(res, o) on a result
-// derived with them equals deriving with o.
-func (o Options) TableOptions() Options {
-	t := Options{MaxLocks: o.MaxLocks, Parallelism: o.Parallelism, Metrics: o.Metrics}
-	if f := o.Floor(); f > 0 {
-		t.AcceptThreshold, t.CutoffThreshold = f, f
-	}
-	return t
-}
-
 func (o Options) workers() int {
 	if o.Parallelism > 0 {
 		return o.Parallelism

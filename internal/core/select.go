@@ -6,13 +6,14 @@ import (
 )
 
 // Mining and selection are separate steps. Mining fills a group's
-// hypothesis table, whose supports depend only on the group, MaxLocks
-// and the prune floor (Options.Floor). Selection picks the winner
-// under t_ac and the strategy, then applies the t_co cut-off. It
-// breaks every tie explicitly, so it does not depend on the order of
-// the table. That order is the miner's walk order, which follows the
-// map iteration of the group's sequences. Report order is produced
-// only where hypotheses are shown, by Ranked.
+// hypothesis table. A hypothesis's supports depend only on the group;
+// MaxLocks and the prune floor (Options.Floor) only decide which
+// hypotheses the table holds. Selection drops the hypotheses longer
+// than MaxLocks, picks the winner under t_ac and the strategy, then
+// applies the t_co cut-off. It breaks every tie explicitly, so it does
+// not depend on the order of the table. That order is the miner's walk
+// order, which follows the map iteration of the group's sequences.
+// Report order is produced only where hypotheses are shown, by Ranked.
 
 // Reason records why selection picked a result's winner: the
 // north star's "why did this rule win?".
@@ -61,15 +62,24 @@ func (r Reason) String() string {
 	return "unknown"
 }
 
-// Select picks the winner of a mined table under opt and applies opt's
-// cut-off. tab is a Result derived with opt.TableOptions() (or with any
-// options of the same MaxLocks whose Floor is at most opt.Floor()); the
-// returned Result equals Derive with opt, up to hypothesis order.
-// tab is not modified: without a cut-off the result shares its
-// Hypotheses, with one it gets a fresh slice of the kept hypotheses.
+// Select picks the winner of a mined table under opt: hypotheses
+// longer than opt.MaxLocks neither win nor are reported, and opt's
+// cut-off applies. tab must hold every hypothesis opt can pick or keep,
+// as the unpruned table (Derive with Options{}) does for every opt; so
+// does a table mined with opt's MaxLocks and a floor at most
+// opt.Floor(). The returned Result equals Derive with opt, up to
+// hypothesis order. tab is not modified: when neither the cap nor a
+// cut-off drops anything the result shares its Hypotheses, else it
+// gets a fresh slice of the kept hypotheses.
 func Select(tab Result, opt Options) Result {
 	res := Result{Group: tab.Group, Total: tab.Total}
-	choose(&res, nil, tab.Hypotheses, opt)
+	hyps, dst := tab.Hypotheses, []Hypothesis(nil)
+	long := func(h Hypothesis) bool { return len(h.Seq) > opt.MaxLocks }
+	if opt.MaxLocks > 0 && slices.ContainsFunc(hyps, long) {
+		hyps = slices.DeleteFunc(slices.Clone(hyps), long)
+		dst = hyps[:0]
+	}
+	choose(&res, dst, hyps, opt)
 	return res
 }
 

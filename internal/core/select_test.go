@@ -65,9 +65,10 @@ func TestSelectOrderIndependent(t *testing.T) {
 }
 
 // TestSelectFromTableMatchesDerive pins the server's and the sweep's
-// use of Select: a table mined with opt.TableOptions(), or the unpruned
-// table of the same MaxLocks, selects exactly what deriving with opt
-// does, and selecting leaves the shared table untouched.
+// use of Select: the unpruned table of Options{}, the unpruned table of
+// opt's MaxLocks, and the table pruned at opt's floor each select
+// exactly what deriving with opt does, and selecting leaves the shared
+// table untouched.
 func TestSelectFromTableMatchesDerive(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 40; seed++ {
@@ -84,7 +85,11 @@ func TestSelectFromTableMatchesDerive(t *testing.T) {
 		for _, opt := range opts {
 			want := Derive(ctx, d, g, opt)
 			label := fmt.Sprintf("seed%d/%s", seed, opt.Key())
-			for _, topt := range []Options{opt.TableOptions(), {MaxLocks: opt.MaxLocks}} {
+			pruned := Options{MaxLocks: opt.MaxLocks}
+			if f := opt.Floor(); f > 0 {
+				pruned.AcceptThreshold, pruned.CutoffThreshold = f, f
+			}
+			for _, topt := range []Options{{}, {MaxLocks: opt.MaxLocks}, pruned} {
 				tab := Derive(ctx, d, g, topt)
 				before := rankedHyps(tab.Hypotheses)
 				got := Select(tab, opt)

@@ -219,15 +219,16 @@ func TestAppendHandlerModes(t *testing.T) {
 }
 
 // TestAppendRetainsRuleCache is the regression test for the wholesale
-// cache flush: an append must keep the per-group tables of untouched
-// groups, so the next derivation re-mines only what the append dirtied —
-// and an identical repeat query is a clean cache hit again. Every load
-// and append pre-mines the unpruned MaxLocks-0 table, from which a
-// ?tac= query only selects, so the mining assertions ride a MaxLocks
-// key, whose table the per-entry delta deriver still mines.
+// cache flush: an append's own pass re-mines only the groups it
+// dirtied, and the table it publishes answers every query. No query
+// mines, whatever its options, before the append or after it, and a
+// repeat query is a clean cache hit.
 func TestAppendRetainsRuleCache(t *testing.T) {
 	s := newLoadedServer(t)
 	sh := discoverClockShape(t, clockTraceBytes(t))
+	mined := s.coreMetrics.GroupsMined.Value
+	const capped = "/v1/rules?max_locks=1"
+	queries := []string{"/v1/rules?tac=0.8", capped}
 
 	// Default options: the load already pre-mined them, so even the
 	// first query is a pure hit and the server-side deriver never runs.
@@ -235,20 +236,16 @@ func TestAppendRetainsRuleCache(t *testing.T) {
 	if hits, derives := s.m.cacheHits.Value(), s.m.derives.Value(); hits != 1 || derives != 0 {
 		t.Fatalf("warm default query: hits=%d derives=%d, want 1/0 (pre-mined by the load)", hits, derives)
 	}
-	// Another threshold selects from the load's table: nothing mined.
-	do(t, s, "GET", "/v1/rules?tac=0.8", nil)
-	if remined := s.m.groupsRemined.Value(); remined != 0 {
-		t.Fatalf("?tac= query re-mined %d groups, want 0 (it selects from the load's table)", remined)
+	// Other thresholds and a MaxLocks select from the load's table.
+	base := mined()
+	for _, q := range queries {
+		do(t, s, "GET", q, nil)
+	}
+	if n := mined() - base; n != 0 {
+		t.Fatalf("?tac= and ?max_locks= queries mined %d groups, want 0 (they select from the load's table)", n)
 	}
 
-	const capped = "/v1/rules?max_locks=1"
-	do(t, s, "GET", capped, nil) // warm: everything mined once
 	total := len(s.Snapshot().DB.Groups())
-	baseRemined := s.m.groupsRemined.Value()
-	if baseRemined != uint64(total) {
-		t.Fatalf("warm query re-mined %d groups, want all %d", baseRemined, total)
-	}
-
 	resp := postAppend(t, s, secondsOnlyChunk(t, sh, 40))
 	if resp.DirtyGroups != 1 {
 		t.Fatalf("seconds-only append dirtied %d groups, want exactly 1", resp.DirtyGroups)
@@ -256,6 +253,9 @@ func TestAppendRetainsRuleCache(t *testing.T) {
 	if resp.Premined != total-resp.DirtyGroups {
 		t.Errorf("append pre-mined %d groups, want %d (everything the append left clean)",
 			resp.Premined, total-resp.DirtyGroups)
+	}
+	if n := mined() - base; n != uint64(resp.DirtyGroups) {
+		t.Errorf("the append's pass mined %d groups, want %d (the dirty ones)", n, resp.DirtyGroups)
 	}
 
 	// The append's own derivation covers the new generation for the
@@ -265,19 +265,12 @@ func TestAppendRetainsRuleCache(t *testing.T) {
 	if hits := s.m.cacheHits.Value(); hits != hitsBefore+1 {
 		t.Errorf("default query after append: hits %d -> %d, want a cache hit", hitsBefore, hits)
 	}
-	do(t, s, "GET", "/v1/rules?tac=0.8", nil)
-	if remined := s.m.groupsRemined.Value(); remined != baseRemined {
-		t.Errorf("?tac= query after append re-mined %d groups, want 0", remined-baseRemined)
+	base = mined()
+	for _, q := range queries {
+		do(t, s, "GET", q, nil)
 	}
-
-	do(t, s, "GET", capped, nil)
-	reused := s.m.groupsReused.Value()
-	remined := s.m.groupsRemined.Value() - baseRemined
-	if remined != uint64(resp.DirtyGroups) {
-		t.Errorf("post-append query re-mined %d groups, want %d (the dirty ones)", remined, resp.DirtyGroups)
-	}
-	if reused != uint64(total-resp.DirtyGroups) {
-		t.Errorf("post-append query reused %d groups, want %d", reused, total-resp.DirtyGroups)
+	if n := mined() - base; n != 0 {
+		t.Errorf("queries after the append mined %d groups, want 0", n)
 	}
 
 	hitsBefore = s.m.cacheHits.Value()
@@ -286,14 +279,18 @@ func TestAppendRetainsRuleCache(t *testing.T) {
 		t.Errorf("repeat query after append: hits %d -> %d, want a cache hit", hitsBefore, hits)
 	}
 
-	// A full reload is a new epoch: nothing may be reused across it.
+	// A full reload is a new epoch: its pass reuses nothing.
+	base = mined()
 	if _, err := s.LoadTrace(bytes.NewReader(clockTraceBytes(t)), "reload"); err != nil {
 		t.Fatal(err)
 	}
-	reusedBefore := s.m.groupsReused.Value()
+	if n, all := mined()-base, len(s.Snapshot().DB.Groups()); n != uint64(all) {
+		t.Errorf("the reload's pass mined %d groups, want all %d", n, all)
+	}
+	base = mined()
 	do(t, s, "GET", capped, nil)
-	if r := s.m.groupsReused.Value(); r != reusedBefore {
-		t.Errorf("query after full reload reused %d stale groups", r-reusedBefore)
+	if n := mined() - base; n != 0 {
+		t.Errorf("query after full reload mined %d groups, want 0", n)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +20,7 @@ import (
 func mkResults(n int) []core.Result { return make([]core.Result, n) }
 
 func TestCacheEntryIdentityAndEviction(t *testing.T) {
-	c := newLRU[string](2)
+	c := newLRU(2)
 
 	a := c.get("a")
 	if again := c.get("a"); again != a {
@@ -36,61 +38,105 @@ func TestCacheEntryIdentityAndEviction(t *testing.T) {
 	}
 }
 
+// publishWithoutTable republishes ns's snapshot without its mined
+// table, as a reopen from compacted state publishes one, so the next
+// rule query mines the table.
+func publishWithoutTable(ns *namespace) *Snapshot {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	old := ns.snapshot()
+	return ns.publish(old.DB, old.Source, old.Checks, nil)
+}
+
+// TestCacheReset: what a snapshot derived goes with it. A reload
+// publishes a snapshot whose only selection is the default options'
+// one, seeded by the load; the previous snapshot's selections answer
+// nothing any more, and a key selected there selects again.
 func TestCacheReset(t *testing.T) {
-	c := newRuleCache(8)
-	snap := &Snapshot{Gen: 1, Epoch: 1}
-	for _, tac := range []float64{0.7, 0.8, 0.9} {
-		c.adopt(core.Options{AcceptThreshold: tac}, mkResults(1), snap.Gen, snap.Epoch)
+	s := newLoadedServer(t)
+	old := s.Snapshot()
+	for _, q := range []string{"tac=0.8", "max_locks=1", "naive=true"} {
+		do(t, s, "GET", "/v1/rules?"+q, nil)
 	}
-	if c.table(core.Options{}, snap) == nil {
-		t.Fatal("adopted results are not served as a table")
+	if n := old.selections.len(); n != 4 {
+		t.Fatalf("the first snapshot holds %d selections, want 4", n)
 	}
-	c.reset()
-	if n := c.selections.len() + c.tables.len(); n != 0 {
-		t.Fatalf("after reset: %d entries, want 0", n)
+	if _, err := s.LoadTrace(bytes.NewReader(blkTraceBytes(t)), "reload"); err != nil {
+		t.Fatal(err)
 	}
-	if e := c.selections.get(core.Options{AcceptThreshold: 0.7}.Key()); e.state.Load() != nil {
-		t.Error("reset kept stale selection state")
+	snap := s.Snapshot()
+	if n := snap.selections.len(); n != 1 || !snap.table.filled() {
+		t.Fatalf("after a reload: %d selections, table resident %v; want 1 (the seeded default) and true", n, snap.table.filled())
 	}
-	if c.table(core.Options{}, snap) != nil {
-		t.Error("reset kept a stale table")
+	misses := s.m.cacheMisses.Value()
+	results, err := s.derive(context.Background(), snap, core.Options{AcceptThreshold: 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.m.cacheMisses.Value() != misses+1 {
+		t.Error("a key the previous snapshot selected hit on the new one")
+	}
+	if len(results) != len(snap.DB.Groups()) || results[0].Group != snap.DB.Groups()[0] {
+		t.Error("the selection after a reload is not the new snapshot's")
 	}
 }
 
-// TestCacheTableLookup pins which resident table serves a selection:
-// the same MaxLocks, a floor at or below the selection's, and the
-// current snapshot.
+// TestCacheTableLookup: every option set selects from the snapshot's
+// one table. The load seeds the table and the default options'
+// selection, which are the same results; a selection under any other
+// key is made from that table, and equals selecting from it directly.
 func TestCacheTableLookup(t *testing.T) {
-	c := newRuleCache(8)
-	snap := &Snapshot{Gen: 2, Epoch: 1}
-	unpruned, pruned := mkResults(1), mkResults(2)
-	c.tables.get(tableKey{0, 0}).publish(unpruned, snap.Gen, snap.Epoch)
-	c.tables.get(tableKey{0, 0.5}).publish(pruned, snap.Gen, snap.Epoch)
-	c.tables.get(tableKey{3, 0}).publish(mkResults(3), snap.Gen-1, snap.Epoch)
-	// A late publication of an older generation never replaces a newer one.
-	c.tables.get(tableKey{0, 0}).publish(mkResults(9), snap.Gen-1, snap.Epoch)
-	for _, tc := range []struct {
-		opt  core.Options
-		want int // length of the expected table; 0 = none resident
-	}{
-		{core.Options{AcceptThreshold: 0.8}, 1},                                    // floor 0: only the unpruned table
-		{core.Options{AcceptThreshold: 0.9, CutoffThreshold: 0.1}, 1},              // floor 0.1
-		{core.Options{AcceptThreshold: 0.9, CutoffThreshold: 0.6}, 2},              // floor 0.6: the smaller table
-		{core.Options{AcceptThreshold: 0.9, CutoffThreshold: 0.6, Naive: true}, 2}, // strategy is not part of the table
-		{core.Options{AcceptThreshold: 0.9, MaxLocks: 3}, 0},                       // resident, but an older generation
-		{core.Options{AcceptThreshold: 0.9, MaxLocks: 2}, 0},
+	s := newLoadedServer(t)
+	snap := s.Snapshot()
+	tab, hit := snap.table.get(func() []core.Result { t.Fatal("the load left the table empty"); return nil })
+	if !hit {
+		t.Fatal("the load's table was not resident")
+	}
+	def, err := s.derive(context.Background(), snap, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &def[0] != &tab[0] {
+		t.Error("the default options' selection is not the table itself")
+	}
+	mined := s.coreMetrics.GroupsMined.Value()
+	for _, opt := range []core.Options{
+		{AcceptThreshold: 0.8},
+		{AcceptThreshold: 0.9, CutoffThreshold: 0.6},
+		{AcceptThreshold: 0.9, MaxLocks: 1},
+		{AcceptThreshold: 0.7, CutoffThreshold: 0.2, MaxLocks: 2, Naive: true},
 	} {
-		if got := c.table(tc.opt, snap); len(got) != tc.want {
-			t.Errorf("%s: table of %d results, want %d", tc.opt.Key(), len(got), tc.want)
+		got, err := s.derive(context.Background(), snap, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tab {
+			want := core.Select(tab[i], opt)
+			if got[i].Group != want.Group || !reflect.DeepEqual(core.Ranked(got[i].Hypotheses), core.Ranked(want.Hypotheses)) ||
+				got[i].Reason != want.Reason || (got[i].Winner == nil) != (want.Winner == nil) {
+				t.Fatalf("%s: group %d differs from selecting the table", opt.Key(), i)
+			}
 		}
 	}
+	if n := s.coreMetrics.GroupsMined.Value() - mined; n != 0 {
+		t.Errorf("selections mined %d groups, want 0", n)
+	}
+	if n := snap.selections.len(); n != 5 {
+		t.Errorf("%d selections resident, want 5", n)
+	}
 }
 
-// Concurrent first requests for one options key must run the derivation
-// exactly once, with every caller receiving the same results: the
-// entry's mutex is the single-flight mechanism server.derive relies on.
+// Concurrent first requests for one options key must build once, with
+// every caller receiving the same results, and a build that fails must
+// leave the entry empty for the next caller: the entry's mutex is the
+// single-flight mechanism server.derive relies on. A hit, which every
+// memoized body and cached selection is after its first request,
+// allocates nothing.
 func TestCacheSingleFlight(t *testing.T) {
-	c := newLRU[string](4)
+	c := newLRU(4)
+	if results, hit := c.get("hot").get(func() []core.Result { return nil }); results != nil || hit {
+		t.Fatalf("a failed build: results %v, hit %v", results, hit)
+	}
 	var computes atomic.Int32
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -100,15 +146,10 @@ func TestCacheSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			e := c.get("hot")
-			e.mu.Lock()
-			if e.state.Load() == nil {
+			results[i], _ = c.get("hot").get(func() []core.Result {
 				computes.Add(1)
-				e.publish(mkResults(7), 1, 1)
-			}
-			res := e.state.Load().results
-			e.mu.Unlock()
-			results[i] = res
+				return mkResults(7)
+			})
 		}(i)
 	}
 	close(start)
@@ -121,6 +162,123 @@ func TestCacheSingleFlight(t *testing.T) {
 			t.Fatalf("caller %d got %d results, want 7", i, len(res))
 		}
 	}
+	e := c.get("hot")
+	if n := testing.AllocsPerRun(100, func() { e.get(nil) }); n != 0 {
+		t.Errorf("a hit allocates %v times, want 0", n)
+	}
+}
+
+// TestSnapshotTable: a snapshot reopened from compacted state has no
+// table until its first rule query mines it, once, whatever options
+// the first queries carry. A mine that a shutdown cancels leaves the
+// table empty, and the next query mines it and answers correctly.
+func TestSnapshotTable(t *testing.T) {
+	reopened := func(t *testing.T) (*Server, *Snapshot) {
+		t.Helper()
+		dir := t.TempDir()
+		s, _ := storeServer(t, dir)
+		if _, err := s.LoadTrace(bytes.NewReader(blkTraceBytes(t)), "blk"); err != nil {
+			t.Fatal(err)
+		}
+		s, _ = storeServer(t, dir)
+		snap, err := s.OpenStore()
+		if err != nil || snap == nil || !strings.HasPrefix(snap.Source, "store:") {
+			t.Fatalf("OpenStore = %v, %v; want a snapshot from compacted state", snap, err)
+		}
+		return s, snap
+	}
+	queries := map[string]core.Options{
+		"tac=0.8":                    {AcceptThreshold: 0.8},
+		"max_locks=1":                {AcceptThreshold: 0.9, MaxLocks: 1},
+		"naive=true&hypotheses=true": {AcceptThreshold: 0.9, Naive: true},
+	}
+	want := func(t *testing.T, snap *Snapshot, q string) string {
+		t.Helper()
+		results, err := core.DeriveAll(context.Background(), snap.DB, queries[q])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(dataBody(httptest.NewRecorder(), analysis.RulesJSON(snap.DB, results, strings.Contains(q, "hypotheses"))))
+	}
+
+	t.Run("concurrent first queries mine once", func(t *testing.T) {
+		s, snap := reopened(t)
+		if snap.table.filled() || snap.selections.len() != 0 {
+			t.Fatal("a reopened snapshot has a table before its first query")
+		}
+		if tables := metricValue(t, do(t, s, "GET", "/metrics", nil).Body.String(), "lockdocd_cache_tables"); tables != 0 {
+			t.Fatalf("lockdocd_cache_tables %v before the first query, want 0", tables)
+		}
+		var mines atomic.Int32
+		s.testDeriveEnter = func(context.Context) error { mines.Add(1); return nil }
+		mined := s.coreMetrics.GroupsMined.Value()
+		// Three queries under each of three keys, all at once.
+		type answer struct{ q, body string }
+		var answers []answer
+		for q := range queries {
+			for range 3 {
+				answers = append(answers, answer{q: q})
+			}
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range answers {
+			wg.Add(1)
+			go func(a *answer) {
+				defer wg.Done()
+				<-start
+				a.body = do(t, s, "GET", "/v1/rules?"+a.q, nil).Body.String()
+			}(&answers[i])
+		}
+		close(start)
+		wg.Wait()
+		if n := mines.Load(); n != 1 {
+			t.Errorf("the table was mined %d times, want 1", n)
+		}
+		if n := s.coreMetrics.GroupsMined.Value() - mined; n != uint64(len(snap.DB.Groups())) {
+			t.Errorf("%d groups mined, want %d", n, len(snap.DB.Groups()))
+		}
+		for _, a := range answers {
+			if a.body != want(t, snap, a.q) {
+				t.Errorf("?%s: body differs from a fresh derivation", a.q)
+			}
+		}
+		if !snap.table.filled() {
+			t.Error("the mined table is not resident")
+		}
+	})
+
+	t.Run("cancelled mine leaves the table empty", func(t *testing.T) {
+		s, snap := reopened(t)
+		entered := make(chan struct{})
+		var once sync.Once
+		s.testDeriveEnter = func(ctx context.Context) error {
+			once.Do(func() { close(entered) })
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		code := make(chan int, 1)
+		go func() { code <- do(t, s, "GET", "/v1/rules?tac=0.8", nil).Code }()
+		<-entered
+		s.BeginShutdown()
+		if c := <-code; c != http.StatusServiceUnavailable {
+			t.Fatalf("cancelled mine: status %d, want 503", c)
+		}
+		if snap.table.filled() {
+			t.Fatal("a cancelled mine filled the table")
+		}
+		// dispatch sheds every request once draining, so the next query
+		// is asked of the route's handler directly.
+		s.testDeriveEnter = nil
+		rec := httptest.NewRecorder()
+		s.serveRead(s.defaultNS(), rec, httptest.NewRequest("GET", "/v1/rules?tac=0.8", nil), memoRules, (*Server).rulesBody)
+		if rec.Code != http.StatusOK || rec.Body.String() != want(t, snap, "tac=0.8") {
+			t.Fatalf("query after the cancelled mine: status %d, body equal to a fresh derivation: %v", rec.Code, rec.Body.String() == want(t, snap, "tac=0.8"))
+		}
+		if !snap.table.filled() {
+			t.Error("the query after the cancelled mine left the table empty")
+		}
+	})
 }
 
 // TestSnapshotBodyMemo: a snapshot memoizes the body of each JSON read
@@ -196,7 +354,7 @@ func TestSnapshotBodyMemo(t *testing.T) {
 				t.Errorf("/v1/rules?%s: body differs from a fresh rendering", q)
 			}
 		}
-		if snap.memo[memoRules].body != nil {
+		if snap.memo[memoRules].filled() {
 			t.Fatal("a request with parameters filled the memo")
 		}
 		plain := get(t, s, "/v1/rules")
@@ -244,7 +402,7 @@ func TestSnapshotBodyMemo(t *testing.T) {
 		// builds. The first build waits for a second one to start, so a
 		// slot that let two run would fail here; it gives up after a
 		// while, which is what a correct slot makes it do.
-		var m memoSlot
+		var m slot[byte]
 		var builds atomic.Int32
 		entered, second := make(chan struct{}), make(chan struct{})
 		build := func() []byte {
@@ -291,7 +449,7 @@ func TestSnapshotBodyMemo(t *testing.T) {
 	t.Run("cancelled build memoizes nothing", func(t *testing.T) {
 		s := newLoadedServer(t)
 		ns := s.defaultNS()
-		ns.cache.reset() // force the build through a derivation
+		publishWithoutTable(ns) // force the build through a mine
 		entered := make(chan struct{})
 		var once sync.Once
 		s.testDeriveEnter = func(ctx context.Context) error {
@@ -307,7 +465,7 @@ func TestSnapshotBodyMemo(t *testing.T) {
 			t.Fatalf("cancelled build: status %d, want 503", c)
 		}
 		snap := s.Snapshot()
-		if snap.memo[memoRules].body != nil {
+		if snap.memo[memoRules].filled() {
 			t.Fatal("a cancelled build left a body in the memo")
 		}
 		// dispatch sheds every request once draining, so the next build
@@ -319,7 +477,7 @@ func TestSnapshotBodyMemo(t *testing.T) {
 		if rec.Code != http.StatusOK || rec.Body.String() != want {
 			t.Fatalf("build after the cancelled one: status %d, body equal to a fresh rendering: %v", rec.Code, rec.Body.String() == want)
 		}
-		if string(snap.memo[memoRules].body) != want {
+		if p := snap.memo[memoRules].v.Load(); p == nil || string(*p) != want {
 			t.Error("the build after the cancelled one did not fill the memo")
 		}
 	})

@@ -218,7 +218,7 @@ func (s *Server) handleNsDelete(ns *namespace, w http.ResponseWriter, _ *http.Re
 
 // bodyFunc builds a JSON read route's envelope body from snap. It
 // answers its own request and returns nil when it fails.
-type bodyFunc func(s *Server, ns *namespace, w http.ResponseWriter, r *http.Request, snap *Snapshot) []byte
+type bodyFunc func(s *Server, w http.ResponseWriter, r *http.Request, snap *Snapshot) []byte
 
 // serveRead answers a JSON read route with the body build makes from
 // the namespace's snapshot. Asked with no query parameters, the body
@@ -233,10 +233,10 @@ func (s *Server) serveRead(ns *namespace, w http.ResponseWriter, r *http.Request
 	}
 	var body []byte
 	if r.URL.RawQuery != "" {
-		body = build(s, ns, w, r, snap)
+		body = build(s, w, r, snap)
 	} else {
 		var hit bool
-		body, hit = snap.memo[route].get(func() []byte { return build(s, ns, w, r, snap) })
+		body, hit = snap.memo[route].get(func() []byte { return build(s, w, r, snap) })
 		if hit && route.derives() {
 			s.m.cacheHits.Inc()
 		}
@@ -246,8 +246,8 @@ func (s *Server) serveRead(ns *namespace, w http.ResponseWriter, r *http.Request
 	}
 }
 
-func (s *Server) rulesBody(ns *namespace, w http.ResponseWriter, r *http.Request, snap *Snapshot) []byte {
-	results, err := s.derive(r.Context(), ns, snap, deriveOptions(r))
+func (s *Server) rulesBody(w http.ResponseWriter, r *http.Request, snap *Snapshot) []byte {
+	results, err := s.derive(r.Context(), snap, deriveOptions(r))
 	if err != nil {
 		deriveErr(w, err)
 		return nil
@@ -267,16 +267,16 @@ func (s *Server) rulesBody(ns *namespace, w http.ResponseWriter, r *http.Request
 	return dataBody(w, analysis.RulesJSON(snap.DB, results, hyps))
 }
 
-func (s *Server) checksBody(_ *namespace, w http.ResponseWriter, _ *http.Request, snap *Snapshot) []byte {
+func (s *Server) checksBody(w http.ResponseWriter, _ *http.Request, snap *Snapshot) []byte {
 	return dataBody(w, analysis.ChecksJSON(snap.Checks))
 }
 
-func (s *Server) violationsBody(ns *namespace, w http.ResponseWriter, r *http.Request, snap *Snapshot) []byte {
+func (s *Server) violationsBody(w http.ResponseWriter, r *http.Request, snap *Snapshot) []byte {
 	max := 20
 	if v := r.URL.Query().Get("max"); v != "" {
 		max, _ = strconv.Atoi(v) // validated by dispatch (maxParam)
 	}
-	results, err := s.derive(r.Context(), ns, snap, deriveOptions(r))
+	results, err := s.derive(r.Context(), snap, deriveOptions(r))
 	if err != nil {
 		deriveErr(w, err)
 		return nil
@@ -305,7 +305,7 @@ func (s *Server) handleDoc(ns *namespace, w http.ResponseWriter, r *http.Request
 		return
 	}
 	label := r.URL.Query().Get("type") // required: dispatch rejects a request without it
-	results, err := s.derive(r.Context(), ns, snap, deriveOptions(r))
+	results, err := s.derive(r.Context(), snap, deriveOptions(r))
 	if err != nil {
 		deriveErr(w, err)
 		return
@@ -357,7 +357,7 @@ type corruptionJSON struct {
 	BytesSkipped int64  `json:"bytes_skipped"`
 }
 
-func (s *Server) statsBody(_ *namespace, w http.ResponseWriter, _ *http.Request, snap *Snapshot) []byte {
+func (s *Server) statsBody(w http.ResponseWriter, _ *http.Request, snap *Snapshot) []byte {
 	d := snap.DB
 	out := statsJSON{
 		Generation: snap.Gen,

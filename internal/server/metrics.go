@@ -13,9 +13,9 @@ import (
 // only the rendering moved to obs.PrometheusSink.
 type serverMetrics struct {
 	requests    *obs.Counter // HTTP requests served (all endpoints)
-	cacheHits   *obs.Counter // derivations answered from the LRU
-	cacheMisses *obs.Counter // derivations that had to run
-	derives     *obs.Counter // derivation runs (full or delta)
+	cacheHits   *obs.Counter // rule queries answered from a snapshot's selections or body memo
+	cacheMisses *obs.Counter // rule queries that had to select
+	derives     *obs.Counter // selections made (each mining the table first if it is not resident)
 	reloads     *obs.Counter // full snapshots published (loads + uploads)
 	uploadBytes *obs.Counter // raw trace bytes accepted via trace uploads
 
@@ -24,8 +24,6 @@ type serverMetrics struct {
 	appendEvents   *obs.Counter // events merged by appends
 	appendNanos    *obs.Counter // wall time spent in append publication
 	groupsDirtied  *obs.Counter // observation groups appends touched
-	groupsRemined  *obs.Counter // groups delta derivations re-mined
-	groupsReused   *obs.Counter // groups answered from per-group caches
 	groupsPremined *obs.Counter // groups an append reused from an earlier pass's rules
 
 	// Request-level observability.
@@ -81,8 +79,6 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		appendEvents:   reg.Counter("lockdocd_append_events_total", "Trace events merged by appends."),
 		appendNanos:    reg.Counter("lockdocd_append_nanos_total", "Wall-clock nanoseconds spent publishing appends (consume+seal+checks)."),
 		groupsDirtied:  reg.Counter("lockdocd_groups_dirtied_total", "Observation groups touched by appends."),
-		groupsRemined:  reg.Counter("lockdocd_groups_remined_total", "Observation groups re-mined by delta derivations."),
-		groupsReused:   reg.Counter("lockdocd_groups_reused_total", "Observation groups answered from per-group derivation caches."),
 		groupsPremined: reg.Counter("lockdocd_groups_premined_total", "Observation groups whose default-options rules an append reused, pre-mined by an earlier load or append pass, instead of re-mining them."),
 
 		inflight: reg.Gauge("lockdocd_inflight_requests", "Requests currently being served."),
@@ -102,19 +98,23 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			}
 			return 0
 		})
-	reg.GaugeFunc("lockdocd_cache_entries", "Resident rule selections (one per options key) across all namespaces.",
+	reg.GaugeFunc("lockdocd_cache_entries", "Resident rule selections (one per options key) of every namespace's current snapshot.",
 		func() float64 {
 			n := 0
 			for _, ns := range s.reg.all() {
-				n += ns.cache.selections.len()
+				if snap := ns.snapshot(); snap != nil {
+					n += snap.selections.len()
+				}
 			}
 			return float64(n)
 		})
-	reg.GaugeFunc("lockdocd_cache_tables", "Resident mined hypothesis tables (one per MaxLocks and prune floor) across all namespaces.",
+	reg.GaugeFunc("lockdocd_cache_tables", "Current snapshots whose mined hypothesis table is resident, one per namespace at most.",
 		func() float64 {
 			n := 0
 			for _, ns := range s.reg.all() {
-				n += ns.cache.tables.len()
+				if snap := ns.snapshot(); snap != nil && snap.table.filled() {
+					n++
+				}
 			}
 			return float64(n)
 		})

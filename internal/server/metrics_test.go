@@ -70,10 +70,11 @@ func TestMetricsExpositionShape(t *testing.T) {
 		t.Error("trace decode counter stayed 0 after a load")
 	}
 
-	// A MaxLocks the load did not mine for needs a table of its own.
+	// A MaxLocks query selects from the load's table: one more
+	// selection, no second table.
 	do(t, s, "GET", "/v1/rules?max_locks=1", nil)
 	body = do(t, s, "GET", "/metrics", nil).Body.String()
-	for _, want := range []string{"lockdocd_cache_entries 2\n", "lockdocd_cache_tables 2\n"} {
+	for _, want := range []string{"lockdocd_cache_entries 2\n", "lockdocd_cache_tables 1\n"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics after ?max_locks=1 missing %q", want)
 		}

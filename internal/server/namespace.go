@@ -1,9 +1,9 @@
 // Per-namespace serving state. Every tenant owns the full single-
 // server machinery of the pre-namespace design: an appendable live
 // store wrapped in a StreamDeriver, a published immutable
-// Snapshot, a derivation cache of mined tables and selections, its
-// own generation and epoch counters, and (when configured) its own
-// segment-store subdirectory. The Server holds these in the sharded
+// Snapshot with all that is derived from it, its own generation and
+// epoch counters, and (when configured) its own segment-store
+// subdirectory. The Server holds these in the sharded
 // registry and owns only what is genuinely global: admission control,
 // metrics, the memory budget, and the eviction policy.
 package server
@@ -32,8 +32,7 @@ type namespace struct {
 
 	// snap is the published snapshot; nil before the first load and
 	// again after an eviction. Request handlers read it without locks.
-	snap  atomic.Pointer[Snapshot]
-	cache *ruleCache
+	snap atomic.Pointer[Snapshot]
 
 	// limiter is the per-namespace token bucket (nil = unlimited).
 	// It sits behind the global limiter: a noisy tenant exhausts its
@@ -160,21 +159,8 @@ func (ns *namespace) loadTrace(r io.Reader, source string) (*Snapshot, error) {
 
 	ns.gen++
 	ns.epoch++
-	snap := &Snapshot{
-		Gen:      ns.gen,
-		Epoch:    ns.epoch,
-		DB:       view,
-		Source:   source,
-		LoadedAt: time.Now().UTC(),
-		Checks:   checks,
-	}
 	ns.sd = sd
-	ns.snap.Store(snap)
-	ns.cache.reset()
-	// The load's pass already derived the default-options rules;
-	// seed the query cache so the first /v1/rules request is a hit and
-	// other thresholds select from the same table.
-	ns.cache.adopt(sd.Options(), results, snap.Gen, snap.Epoch)
+	snap := ns.publish(view, source, checks, results)
 	s.settleResident(ns, counted.n-tr.HeaderLen())
 	s.m.reloads.Inc()
 	return snap, nil
@@ -260,23 +246,10 @@ func (ns *namespace) appendTrace(r io.Reader, source string) (*Snapshot, AppendS
 	}
 
 	ns.gen++
-	snap := &Snapshot{
-		Gen:      ns.gen,
-		Epoch:    ns.epoch,
-		DB:       view,
-		Source:   source,
-		LoadedAt: time.Now().UTC(),
-		Checks:   checks,
-	}
 	stats.Events = n
 	stats.Dirty = view.DirtyGroupsSince(prev)
 	stats.Premined = sstats.Delta.Reused
-	ns.snap.Store(snap)
-	// The derivation pass of this append already holds the
-	// default-options rules; publishing them into the query cache makes
-	// the post-append /v1/rules refresh a pure cache hit and lets other
-	// thresholds select without mining.
-	ns.cache.adopt(ns.sd.Options(), results, snap.Gen, snap.Epoch)
+	snap := ns.publish(view, source, checks, results)
 	stats.Elapsed = time.Since(start)
 	s.settleResident(ns, ns.resident.Load()+counted.n-tr.HeaderLen())
 	s.m.appends.Inc()
@@ -285,6 +258,31 @@ func (ns *namespace) appendTrace(r io.Reader, source string) (*Snapshot, AppendS
 	s.m.groupsPremined.Add(uint64(stats.Premined))
 	s.m.appendNanos.Add(uint64(stats.Elapsed))
 	return snap, stats, nil
+}
+
+// publish stores a new snapshot of view at the namespace's current
+// generation and epoch and returns it. results are the publishing
+// pass's default-options rules: they become the snapshot's table and
+// its default-options selection. nil, for a view reopened from
+// compacted state, leaves the table to the first rule query. Caller
+// holds ns.mu.
+func (ns *namespace) publish(view *db.DB, source string, checks []analysis.CheckResult, results []core.Result) *Snapshot {
+	s := ns.srv
+	snap := &Snapshot{
+		Gen:        ns.gen,
+		Epoch:      ns.epoch,
+		DB:         view,
+		Source:     source,
+		LoadedAt:   time.Now().UTC(),
+		Checks:     checks,
+		selections: newLRU(s.cfg.CacheSize),
+	}
+	if results != nil {
+		snap.table.v.Store(&results)
+		snap.selections.get(s.streamOptions().Key()).v.Store(&results)
+	}
+	ns.snap.Store(snap)
+	return snap
 }
 
 // compact refreshes the store's state segment from a view whose trace
@@ -418,19 +416,7 @@ func (ns *namespace) openStoreLocked() (*Snapshot, error) {
 	// process the generation never moves backwards.
 	ns.gen = max(ns.gen+1, ns.traceSegments())
 	ns.epoch++
-	snap := &Snapshot{
-		Gen:      ns.gen,
-		Epoch:    ns.epoch,
-		DB:       view,
-		Source:   source,
-		LoadedAt: time.Now().UTC(),
-		Checks:   checks,
-	}
-	ns.snap.Store(snap)
-	ns.cache.reset()
-	if replayResults != nil {
-		ns.cache.adopt(ns.sd.Options(), replayResults, snap.Gen, snap.Epoch)
-	}
+	snap := ns.publish(view, source, checks, replayResults)
 	s.m.reloads.Inc()
 	return snap, nil
 }

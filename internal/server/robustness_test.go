@@ -77,7 +77,7 @@ func TestConcurrencyShed(t *testing.T) {
 	if _, err := s.LoadTrace(bytes.NewReader(clockTraceBytes(t)), "test"); err != nil {
 		t.Fatal(err)
 	}
-	s.defaultNS().cache.reset() // drop the load's pre-mined rules: force /v1/rules through derive
+	publishWithoutTable(s.defaultNS()) // as a reopen does: force /v1/rules to mine the table
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
@@ -182,6 +182,23 @@ func TestMaxBodyBytes(t *testing.T) {
 	if rec := do(t, s, "GET", "/v1/doc?type=clock", nil); rec.Code != http.StatusOK {
 		t.Errorf("snapshot lost after rejected uploads: status %d", rec.Code)
 	}
+
+	// Capped at half the trace, a lenient reader decodes a prefix that
+	// holds observations. The cap still refuses it: the reader must not
+	// charge the body's overflow as corruption and publish the prefix.
+	s = New(Config{Ingest: lenientIngest(), MaxBodyBytes: int64(len(raw) / 2)})
+	seed, err := s.LoadTrace(bytes.NewReader(raw), "seed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []string{"/v1/traces", "/v1/traces?mode=append"} {
+		if rec := do(t, s, "POST", target, bytes.NewReader(raw)); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s over a cap at half the trace: status %d, want 413: %s", target, rec.Code, rec.Body.String())
+		}
+		if s.Snapshot() != seed {
+			t.Fatalf("POST %s over the cap replaced the snapshot", target)
+		}
+	}
 }
 
 // TestPanicRecovery pins the panic middleware: a handler panic answers
@@ -258,7 +275,7 @@ func TestUploadDecodePanic(t *testing.T) {
 // derivation goroutine outlives it.
 func TestShutdownDrains(t *testing.T) {
 	s := newLoadedServer(t)
-	s.defaultNS().cache.reset() // force the next /v1/rules through derive
+	publishWithoutTable(s.defaultNS()) // as a reopen does: force the next /v1/rules to mine the table
 	entered := make(chan struct{})
 	var once sync.Once
 	s.testDeriveEnter = func(ctx context.Context) error {

@@ -87,7 +87,7 @@ func checkBool(name string) func(string) error {
 }
 
 // deriveParams are the shared derivation knobs of every query route
-// that mines rules (they form the derivation cache key).
+// that derives rules (they form the key of a snapshot's selections).
 var deriveParams = []param{
 	{name: "tac", example: "0.9", doc: "accept threshold",
 		check: checkFloat("tac", "(0, 1]", func(f float64) bool { return f > 0 && f <= 1 })},

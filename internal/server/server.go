@@ -8,8 +8,8 @@
 //
 //   - the service is multi-tenant: a sharded namespace registry maps
 //     tenant ids onto independent per-namespace states, each owning its
-//     own live db.DB, StreamDeriver, epoch counter, derivation cache
-//     and (when configured) segment-store subdirectory.
+//     own live db.DB, StreamDeriver, epoch counter and (when
+//     configured) segment-store subdirectory.
 //     The legacy /v1/* surface aliases the "default" namespace, so a
 //     single-tenant deployment never notices the registry,
 //   - the live db.DB keeps per-context reconstruction state (held-lock
@@ -19,17 +19,15 @@
 //   - a snapshot bundles one sealed view of the store with its
 //     generation number and the eagerly computed documented-rule
 //     checks; it is never mutated after publication, so request
-//     handlers read it without locks. Only its memo of the
-//     parameterless JSON read bodies fills in, each body once, under
-//     its own lock (see bodyMemo),
-//   - derivation is memoized per namespace in two bounded LRUs (see
-//     ruleCache): mined hypothesis tables keyed by (MaxLocks, prune
-//     floor), and winner selections keyed by core.Options.Key(). Each
-//     table carries a core.DeltaDeriver, so an append re-mines only the
-//     observation groups it dirtied (copy-on-write pointer identity),
-//     and every publication seeds the unpruned table, so a query that
-//     changes only thresholds or the strategy selects without mining.
-//     Only a full trace replacement (a new store epoch) resets both,
+//     handlers read it without locks. Only what is derived from it
+//     fills in, each part once, under its own lock (see slot): its
+//     unpruned hypothesis table, its rule selections and its memo of
+//     the parameterless JSON read bodies,
+//   - every rule query selects from its snapshot's one table, whatever
+//     its options (core.Select). Each load, append and replay publishes
+//     the table its ingest pass mined, re-mining only the observation
+//     groups the append dirtied (core.StreamDeriver); a snapshot
+//     reopened from compacted state mines its table on first use,
 //   - uploads go through the lenient v2 reader, so a damaged trace
 //     degrades into drop counters and corruption reports (surfaced via
 //     .../stats) instead of an ingestion failure,
@@ -68,10 +66,10 @@ import (
 	"lockdoc/internal/trace"
 )
 
-// DefaultCacheSize bounds each of a namespace's two derivation LRUs,
-// tables and selections, when Config.CacheSize is zero. Selections
-// without a cut-off share their table's hypotheses, so an entry costs
-// little more than one []core.Result.
+// DefaultCacheSize bounds each snapshot's LRU of rule selections when
+// Config.CacheSize is zero. A selection without a cut-off or a length
+// cap shares its table's hypotheses, so an entry costs little more
+// than one []core.Result.
 const DefaultCacheSize = 64
 
 // ErrNoBaseSnapshot rejects an append before any full trace was loaded:
@@ -89,12 +87,11 @@ var errNsLimit = errors.New("server: namespace limit reached")
 
 // Config configures a Server.
 type Config struct {
-	// CacheSize caps each of a namespace's two derivation LRUs, mined
-	// tables and selections (entries, not bytes). 0 means
-	// DefaultCacheSize.
+	// CacheSize caps each snapshot's LRU of rule selections, one per
+	// options key (entries, not bytes). 0 means DefaultCacheSize.
 	CacheSize int
-	// Parallelism is the derivation worker count for cache misses.
-	// 0 means GOMAXPROCS.
+	// Parallelism is the derivation worker count of ingest passes and
+	// of a reopened snapshot's table. 0 means GOMAXPROCS.
 	Parallelism int
 	// Ingest selects strict or lenient trace decoding for LoadTrace and
 	// /v1 trace uploads.
@@ -175,7 +172,10 @@ type Config struct {
 }
 
 // Snapshot is one sealed view of a namespace's trace store, immutable
-// after publication but for its memo of response bodies.
+// after publication but for what is derived from it. That fills in on
+// demand and lives and dies with the snapshot: an append, a reload, an
+// eviction and a delete each replace or drop the snapshot, so nothing
+// derived is ever invalidated.
 type Snapshot struct {
 	Gen   uint64 // advances on every publication (loads and appends)
 	Epoch uint64 // advances only when a full load replaces the store
@@ -188,6 +188,18 @@ type Snapshot struct {
 	// mutable intern tables.
 	Checks []analysis.CheckResult
 
+	// table is the unpruned default-options hypothesis table every rule
+	// query selects from: a hypothesis's supports depend only on its
+	// group, while t_ac, t_co, the strategy and MaxLocks only choose
+	// among hypotheses. It holds the publishing pass's results, or, for
+	// a snapshot reopened from compacted state, is mined by the first
+	// rule query.
+	table slot[core.Result]
+	// selections holds each options key's results, selected from table
+	// by its first query, in an LRU bounded by Config.CacheSize.
+	// Publication with a table seeds it with the default options'
+	// selection, which is the table itself.
+	selections *lru
 	// memo holds the bodies of the parameterless JSON read routes,
 	// each built by the first request that asks for it.
 	memo bodyMemo
@@ -260,18 +272,18 @@ type Server struct {
 	routes     []route
 	testRoutes []route
 
-	// testDeriveEnter, when non-nil, runs inside derive before the
-	// derivation itself — a test seam for drain and cancellation
-	// behavior. A non-nil return aborts the derivation with that error.
+	// testDeriveEnter, when non-nil, runs before a snapshot's table is
+	// mined — a test seam for drain and cancellation behavior. A non-nil
+	// return aborts the mine with that error.
 	testDeriveEnter func(context.Context) error
 }
 
 // streamOptions are the derivation options of the ingest path's
-// StreamDeriver. They match the default rules request
-// (core.Options.Key ignores Parallelism and Metrics) and set no
-// cut-off, so the results of each publish's pass are adopted both as
-// that query's selection and as the unpruned table other thresholds
-// select from.
+// StreamDeriver and of a reopened snapshot's table. They match the
+// default rules request (core.Options.Key ignores Parallelism and
+// Metrics) and set neither a cut-off nor a cap, so the results of each
+// publishing pass are both that query's selection and the unpruned
+// table every other query selects from.
 func (s *Server) streamOptions() core.Options {
 	return core.Options{
 		AcceptThreshold: core.DefaultAcceptThreshold,
@@ -349,7 +361,6 @@ func (s *Server) newNamespace(name string) *namespace {
 	ns := &namespace{
 		name:    name,
 		srv:     s,
-		cache:   newRuleCache(s.cfg.CacheSize),
 		limiter: resilience.NewTokenBucket(s.cfg.NsRateLimit, burst),
 		nm:      s.nsMetricsFor(name),
 	}
@@ -499,8 +510,8 @@ func (s *Server) evictFor(exclude *namespace, n int64) {
 	}
 }
 
-// evictNS drops a namespace's in-memory state — snapshot, deriver,
-// live store, derivation cache, and the groups the store's copy-forward
+// evictNS drops a namespace's in-memory state — snapshot (with all it
+// derived), deriver, live store, and the groups the store's copy-forward
 // index pins — while keeping the on-disk store, so the next request
 // re-opens via the compacted-state fast path. The store itself stays open: snapshots
 // already handed to in-flight requests hydrate groups through it, and
@@ -516,7 +527,6 @@ func (s *Server) evictNS(ns *namespace) bool {
 	}
 	ns.dropLiveLocked()
 	ns.snap.Store(nil)
-	ns.cache.reset()
 	ns.store.DropCache()
 	s.settleResident(ns, 0)
 	ns.nm.evictions.Inc()
@@ -534,7 +544,6 @@ func (s *Server) deleteNamespace(ns *namespace, selfRefs int64) {
 	defer ns.mu.Unlock()
 	ns.dropLiveLocked()
 	ns.snap.Store(nil)
-	ns.cache.reset()
 	s.settleResident(ns, 0)
 	if ns.store != nil && ns.storeOwned {
 		dir := ns.store.Dir()
@@ -664,9 +673,9 @@ func (s *Server) importConfig() db.Config {
 // fresh live store, derives the per-snapshot check results, and
 // atomically publishes a sealed view as its new current snapshot.
 // In-flight queries keep the snapshot they started with. A full load
-// starts a new store epoch: the derivation cache resets wholesale,
-// since per-group reuse cannot survive a store replacement (unlike
-// AppendTrace, which retains it).
+// starts a new store epoch with a fresh StreamDeriver, since per-group
+// reuse cannot survive a store replacement (unlike AppendTrace, which
+// re-mines only the groups it dirtied).
 //
 // With a segment store configured, the stream is buffered and — only
 // after the trace proves ingestible — committed as the store's new
@@ -731,72 +740,46 @@ func degradedSuffix(d *db.DB) string {
 	return ""
 }
 
-// derive returns the memoized derivation results for snap under opt,
-// selecting them at most once per (namespace, snapshot, options)
-// triple from the hypothesis table they depend on (see ruleCache).
-// Cancelling ctx aborts an in-flight table mining at the next group
-// boundary with ctx.Err(); a cancelled derivation caches nothing, so
-// the entries stay valid for the next caller.
-func (s *Server) derive(ctx context.Context, ns *namespace, snap *Snapshot, opt core.Options) ([]core.Result, error) {
-	opt.Parallelism = s.cfg.Parallelism
-	opt.Metrics = s.coreMetrics
-	e := ns.cache.selections.get(opt.Key())
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c := e.state.Load(); c.at(snap) {
+// derive returns snap's rules under opt: a selection from the
+// snapshot's table, made at most once per options key while the key
+// stays in the snapshot's LRU. Cancelling ctx aborts a table mine at
+// the next group boundary with ctx.Err(); a failed mine fills nothing,
+// so the next caller mines again.
+func (s *Server) derive(ctx context.Context, snap *Snapshot, opt core.Options) ([]core.Result, error) {
+	var err error
+	results, hit := snap.selections.get(opt.Key()).get(func() []core.Result {
+		var tab []core.Result
+		if tab, err = s.table(ctx, snap); err != nil {
+			return nil
+		}
+		sel := make([]core.Result, len(tab))
+		for i, t := range tab {
+			sel[i] = core.Select(t, opt)
+		}
+		return sel
+	})
+	if hit {
 		s.m.cacheHits.Inc()
-		return c.results, nil
+	} else {
+		s.m.cacheMisses.Inc()
+		s.m.derives.Inc()
 	}
-	s.m.cacheMisses.Inc()
-	s.m.derives.Inc()
-	tables, err := s.mineTable(ctx, ns, snap, opt)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]core.Result, len(tables))
-	for i, tab := range tables {
-		results[i] = core.Select(tab, opt)
-	}
-	e.publish(results, snap.Gen, snap.Epoch)
-	return results, nil
+	return results, err
 }
 
-// mineTable returns the hypothesis tables of snap that selections
-// under opt are made from: a resident one if any fits, else the table
-// of opt's own key, brought forward from its last generation by
-// re-mining only the groups that changed since.
-func (s *Server) mineTable(ctx context.Context, ns *namespace, snap *Snapshot, opt core.Options) ([]core.Result, error) {
-	if tables := ns.cache.table(opt, snap); tables != nil {
-		return tables, nil
-	}
-	topt := opt.TableOptions()
-	e := ns.cache.tables.get(tableKeyOf(opt))
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c := e.state.Load()
-	if c.at(snap) {
-		return c.results, nil // mined while this request waited for mu
-	}
-	if c != nil && c.epoch == snap.Epoch && c.gen > snap.Gen {
-		// The caller holds a snapshot older than the entry's state (its
-		// request raced a publication). Mine one-off rather than
-		// regressing the deriver's per-group cache to the old snapshot.
-		return core.DeriveAll(ctx, snap.DB, topt)
-	}
-	if e.dd == nil || c == nil || c.epoch != snap.Epoch {
-		e.dd = core.NewDeltaDeriver(topt)
-	}
-	if s.testDeriveEnter != nil {
-		if err := s.testDeriveEnter(ctx); err != nil {
-			return nil, err
+// table returns snap's unpruned table, mining it first if the snapshot
+// was published without one.
+func (s *Server) table(ctx context.Context, snap *Snapshot) ([]core.Result, error) {
+	var err error
+	tab, _ := snap.table.get(func() []core.Result {
+		if s.testDeriveEnter != nil {
+			if err = s.testDeriveEnter(ctx); err != nil {
+				return nil
+			}
 		}
-	}
-	results, st, err := e.dd.DeriveAll(ctx, snap.DB)
-	if err != nil {
-		return nil, err
-	}
-	s.m.groupsReused.Add(uint64(st.Reused))
-	s.m.groupsRemined.Add(uint64(st.Remined))
-	e.publish(results, snap.Gen, snap.Epoch)
-	return results, nil
+		var results []core.Result
+		results, err = core.DeriveAll(ctx, snap.DB, s.streamOptions())
+		return results
+	})
+	return tab, err
 }

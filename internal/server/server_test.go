@@ -244,10 +244,10 @@ func TestCacheMemoization(t *testing.T) {
 }
 
 // TestRulesSelectFromLoadedTable pins the split between mining and
-// selection: after a load, /rules queries that keep MaxLocks 0 only
-// select from the table the load mined, whatever their thresholds and
-// strategy, and each answers exactly what a fresh derivation with its
-// options renders.
+// selection: after a load, /rules queries only select from the table
+// the load mined, whatever their thresholds, strategy and MaxLocks,
+// and each answers exactly what a fresh derivation with its options
+// renders.
 func TestRulesSelectFromLoadedTable(t *testing.T) {
 	queries := []struct {
 		query string
@@ -261,6 +261,9 @@ func TestRulesSelectFromLoadedTable(t *testing.T) {
 		{"tac=0.8&tco=0.95", core.Options{AcceptThreshold: 0.8, CutoffThreshold: 0.95}},
 		{"naive=true", core.Options{AcceptThreshold: 0.9, Naive: true}},
 		{"naive=true&tco=0.3&hypotheses=true", core.Options{AcceptThreshold: 0.9, CutoffThreshold: 0.3, Naive: true}},
+		{"max_locks=1", core.Options{AcceptThreshold: 0.9, MaxLocks: 1}},
+		{"max_locks=2&tco=0.2&hypotheses=true", core.Options{AcceptThreshold: 0.9, CutoffThreshold: 0.2, MaxLocks: 2}},
+		{"max_locks=1&naive=true", core.Options{AcceptThreshold: 0.9, MaxLocks: 1, Naive: true}},
 	}
 	for name, raw := range map[string][]byte{"clock": clockTraceBytes(t), "blk": blkTraceBytes(t)} {
 		s := New(Config{Ingest: lenientIngest()})
@@ -289,7 +292,7 @@ func TestRulesSelectFromLoadedTable(t *testing.T) {
 			}
 		}
 		if n := s.coreMetrics.GroupsMined.Value() - mined; n != 0 {
-			t.Errorf("%s: MaxLocks-0 queries mined %d groups, want 0 (select from the load's table)", name, n)
+			t.Errorf("%s: queries mined %d groups, want 0 (select from the load's table)", name, n)
 		}
 	}
 }

@@ -3,14 +3,11 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-
-	"lockdoc/internal/resilience"
 )
 
 // Binary trace format
@@ -398,15 +395,20 @@ func (c *blockCursor) uvarint() (uint64, error) {
 }
 
 // countingReader counts bytes handed to the buffered reader so the
-// Reader can report absolute stream offsets in corruption reports.
+// Reader can report absolute stream offsets in corruption reports. It
+// also records the source's first error other than io.EOF.
 type countingReader struct {
-	r io.Reader
-	n int64
+	r   io.Reader
+	n   int64
+	err error
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
+	if err != nil && err != io.EOF && c.err == nil {
+		c.err = err
+	}
 	return n, err
 }
 
@@ -451,10 +453,9 @@ func NewReaderOptions(r io.Reader, opts ReaderOptions) (*Reader, error) {
 	br := bufio.NewReaderSize(cnt, 1<<16)
 	tr := &Reader{br: br, cnt: cnt, opts: opts}
 	if err := tr.readHeader(); err != nil {
-		// Lenient mode tolerates a *corrupt* header, not an
-		// interrupted read: that propagates so the caller can read the
-		// same bytes again instead of resynchronizing past them.
-		if !opts.Lenient || interrupted(err) {
+		// Lenient mode tolerates a *corrupt* header, not a failed read:
+		// that propagates (see sourceFailed).
+		if !opts.Lenient || tr.sourceFailed(err) {
 			return nil, err
 		}
 		tr.version = FormatV2
@@ -541,12 +542,14 @@ func (r *Reader) confirmed() int {
 	return i
 }
 
-// interrupted reports whether err stopped a read without saying
-// anything about the trace: a transient I/O failure or a done context.
-// A lenient Reader passes such an error on instead of charging it as
-// corruption, so the caller can read the same bytes again.
-func interrupted(err error) bool {
-	return resilience.IsTransient(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+// sourceFailed reports whether err is, or wraps, an error the source
+// returned. Such an error says nothing about the trace, so a lenient
+// Reader passes it on instead of charging it as corruption: it charges
+// only bytes it read and could not decode. A caller may then read the
+// same bytes again (a Follower retries interrupted reads), and one that
+// capped its source sees the cap, not a salvaged prefix.
+func (r *Reader) sourceFailed(err error) bool {
+	return r.cnt.err != nil && errors.Is(err, r.cnt.err)
 }
 
 // offset is the absolute stream position of the next unread byte.
@@ -691,7 +694,7 @@ func (r *Reader) readV1(ev *Event) error {
 	if err == io.EOF {
 		return r.fail(io.EOF)
 	}
-	if !r.opts.Lenient {
+	if !r.opts.Lenient || r.sourceFailed(err) {
 		return r.fail(err)
 	}
 	return r.fail(r.recoverV1(err))
@@ -707,9 +710,12 @@ func (r *Reader) recoverV1(cause error) error {
 	if len(r.reports) > r.opts.MaxErrors {
 		return fmt.Errorf("%w: error budget (%d) exhausted: %v", ErrCorrupt, r.opts.MaxErrors, cause)
 	}
-	n, _ := io.Copy(io.Discard, r.br)
+	n, err := io.Copy(io.Discard, r.br)
 	rep.BytesSkipped = n
 	r.opts.Metrics.skippedBytes(n)
+	if err != nil {
+		return err // the source failed: the rest is not known to be lost
+	}
 	return io.EOF
 }
 
@@ -722,11 +728,11 @@ func (r *Reader) readV2(ev *Event) error {
 				return r.fail(io.EOF)
 			}
 			if err != nil {
-				// An interrupted read is not corruption: recovering
+				// A failed read is not corruption: recovering
 				// (resynchronizing and charging the error budget) would
-				// misfile a flaky or cancelled read as damaged bytes.
-				// Propagate it; the caller reads the same region again.
-				if !r.opts.Lenient || interrupted(err) {
+				// misfile a flaky, cancelled or capped read as damaged
+				// bytes. Propagate it.
+				if !r.opts.Lenient || r.sourceFailed(err) {
 					return r.fail(err)
 				}
 				if rerr := r.recover(err, r.offset()-start); rerr != nil {
@@ -862,13 +868,16 @@ func (r *Reader) recover(cause error, lost int64) error {
 		rep.BytesSkipped += n
 		r.opts.Metrics.skippedBytes(n)
 		if err != nil {
-			if interrupted(err) {
-				return err // interrupted mid-scan, not end of data: retry, don't salvage
+			if r.cnt.err != nil {
+				return r.cnt.err // the source failed mid-scan, not at the end of data: don't salvage
 			}
 			return io.EOF // ran out of data while scanning: salvage the prefix
 		}
 		markerStart := r.offset() - int64(len(syncMarker))
 		if err := r.readBlockBody(); err != nil {
+			if r.sourceFailed(err) {
+				return err
+			}
 			cause = err
 			lost = r.offset() - markerStart
 			continue

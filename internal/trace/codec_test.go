@@ -3,10 +3,12 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -534,6 +536,72 @@ func TestLenientReaderBudget(t *testing.T) {
 	}
 	if _, err := r.ReadAll(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("zero-budget read = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestLenientReaderPassesSourceError: a lenient reader returns the
+// error its source returned instead of charging it as corruption and
+// salvaging the prefix. It charges only bytes it read and could not
+// decode: a damaged block before the failure is still reported.
+func TestLenientReaderPassesSourceError(t *testing.T) {
+	raw, events := v2Fixture(t, 400, 32)
+	needles := findMarkers(raw)
+	v1 := func(events []Event) []byte {
+		var buf bytes.Buffer
+		w, err := NewWriterOptions(&buf, WriterOptions{Version: FormatV1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range events {
+			if err := w.Write(&events[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	v1All, v1Head := v1(events), v1(events[:100])
+	// An invalid event kind after the first 100 events.
+	v1Bad := append(append(append([]byte(nil), v1Head...), 0xEE), v1All[len(v1Head):]...)
+	srcErr := errors.New("source failed")
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		cut     int // the source fails after this many bytes
+		reports int
+	}{
+		// Inside the second block's payload.
+		{"mid-block", raw, needles[1] + (needles[2]-needles[1])/2, 0},
+		// The second block fails its CRC; the scan for the next marker
+		// then runs into the failure two bytes into the third marker.
+		{"mid-scan", corruptOneBlock(t, raw), needles[2] + 2, 1},
+		// ... or into the payload of the third block, which the scan
+		// found.
+		{"mid-next-block", corruptOneBlock(t, raw), needles[2] + (needles[3]-needles[2])/2, 1},
+		// A v1 trace has no blocks: somewhere in its middle, and
+		// after a damaged event, while the rest is being dropped.
+		{"v1", v1All, len(v1All) / 2, 0},
+		{"v1-after-damage", v1Bad, len(v1Head) + 100, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := io.MultiReader(bytes.NewReader(tc.data[:tc.cut]), iotest.ErrReader(srcErr))
+			r, err := NewReaderOptions(src, ReaderOptions{Lenient: true, MaxErrors: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.ReadAll(); !errors.Is(err, srcErr) {
+				t.Fatalf("ReadAll = %v, want the source's error", err)
+			}
+			if n := len(r.Corruptions()); n != tc.reports {
+				t.Errorf("%d corruption reports, want %d: %v", n, tc.reports, r.Corruptions())
+			}
+		})
+	}
+	// A failure while reading the header is not a corrupt header.
+	if _, err := NewReaderOptions(iotest.ErrReader(srcErr), ReaderOptions{Lenient: true}); !errors.Is(err, srcErr) {
+		t.Errorf("NewReaderOptions over a failing source = %v, want the source's error", err)
 	}
 }
 

@@ -96,6 +96,14 @@ func (fw *Follower) Close() error { return fw.f.Close() }
 // the next Poll will read.
 func (fw *Follower) Offset() int64 { return fw.off }
 
+// interrupted reports whether err stopped a read without saying
+// anything about the trace: a transient I/O failure or a done context.
+// The Follower stays usable after one, so the next Poll reads the same
+// bytes again.
+func interrupted(err error) bool {
+	return resilience.IsTransient(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
 func (fw *Follower) fail(err error) error {
 	if interrupted(err) {
 		// A transient failure that out-lasted its retries, or a done

@@ -42,6 +42,14 @@ var oracleOptions = []core.Options{
 	{AcceptThreshold: 0.9, Naive: true},
 }
 
+// oracleQueries are lockdocd's /rules query strings for the
+// non-default oracleOptions sets.
+var oracleQueries = map[string]core.Options{
+	"tac=0.75&tco=0.1": {AcceptThreshold: 0.75, CutoffThreshold: 0.1},
+	"max_locks=2":      {AcceptThreshold: 0.9, MaxLocks: 2},
+	"naive=true":       {AcceptThreshold: 0.9, Naive: true},
+}
+
 // outputs holds what one path renders, by output name.
 type outputs map[string]string
 
@@ -167,6 +175,17 @@ func rulesJSON(t testing.TB, d *db.DB, results []core.Result) string {
 	return b.String()
 }
 
+// envelope wraps a rendered JSON payload the way lockdocd's /v1 routes
+// do.
+func envelope(t testing.TB, payload string) string {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	must(t, enc.Encode(map[string]any{"data": json.RawMessage(payload)}))
+	return b.String()
+}
+
 // sameOutputs requires each output of got to equal want's.
 func sameOutputs(t testing.TB, path string, want, got outputs) {
 	t.Helper()
@@ -267,7 +286,8 @@ func post(t testing.TB, h http.Handler, target string, chunks ...[]byte) {
 	}
 }
 
-// bodies reads the compared endpoints of a namespace.
+// bodies reads the compared endpoints of a namespace, the rules under
+// each of oracleQueries too.
 func bodies(t testing.TB, h http.Handler, prefix string, labels []string) outputs {
 	t.Helper()
 	get := func(target string) string { return serve(t, h, "GET", prefix+target, nil, http.StatusOK).Body.String() }
@@ -275,27 +295,37 @@ func bodies(t testing.TB, h http.Handler, prefix string, labels []string) output
 	for _, label := range labels {
 		doc.WriteString(get("/doc?type=" + url.QueryEscape(label)))
 	}
-	return outputs{"doc": doc.String(), "rules": get("/rules?hypotheses=true"), "default rules": get("/rules"),
+	out := outputs{"doc": doc.String(), "rules": get("/rules?hypotheses=true"), "default rules": get("/rules"),
 		"violations": get("/violations?summary=true"), "checks": get("/checks")}
+	for q := range oracleQueries {
+		out["rules?"+q] = get("/rules?hypotheses=true&" + q)
+	}
+	return out
 }
 
 // checkServer requires the bodies of a lockdocd given the whole trace,
-// whose docs must be the library's, from one given uploaded blocks.
+// whose docs and rules must be the library's, from one given uploaded
+// blocks.
 func checkServer(t testing.TB, ref *reference) outputs {
 	t.Helper()
 	h := server.New(server.Config{}).Handler()
 	post(t, h, "/v1/ns/ref/traces", ref.raw)
 	want := bodies(t, h, "/v1/ns/ref", ref.d.TypeLabels())
-	sameOutputs(t, "lockdocd upload", ref.outs[defaultOptions.Key()], outputs{"doc": want["doc"]})
+	def := ref.outs[defaultOptions.Key()]
+	lib, got := outputs{"doc": def["doc"], "rules": envelope(t, def["rules"])}, outputs{"doc": want["doc"], "rules": want["rules"]}
+	for q, opt := range oracleQueries {
+		lib["rules?"+q], got["rules?"+q] = envelope(t, ref.outs[opt.Key()]["rules"]), want["rules?"+q]
+	}
+	sameOutputs(t, "lockdocd upload", lib, got)
 
 	h = server.New(server.Config{}).Handler()
 	post(t, h, "/v1/traces", ref.blocks[0])
 	bodies(t, h, "/v1/ns/default", nil) // memoized by the first snapshot, which the appends replace
 	post(t, h, "/v1/ns/default/traces?mode=append", ref.blocks[1:]...)
 	sameOutputs(t, "lockdocd append", want, bodies(t, h, "/v1/ns/default", ref.d.TypeLabels()))
-	// A legacy alias answers for the default namespace, deprecated.
+	// The legacy aliases answer for the default namespace, deprecated.
+	sameOutputs(t, "lockdocd legacy alias", want, bodies(t, h, "/v1", ref.d.TypeLabels()))
 	legacy := serve(t, h, "GET", "/v1/rules?hypotheses=true", nil, http.StatusOK)
-	sameOutputs(t, "lockdocd legacy alias", want, outputs{"rules": legacy.Body.String()})
 	if hdr := legacy.Header(); hdr.Get("Deprecation") != "true" || hdr.Get("Link") != `</v1/ns/default/rules>; rel="successor-version"` {
 		t.Errorf("legacy /v1/rules: Deprecation %q, Link %q", hdr.Get("Deprecation"), hdr.Get("Link"))
 	}
