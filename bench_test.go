@@ -766,9 +766,9 @@ func scalingWorkerCounts() []int {
 	return counts
 }
 
-// BenchmarkDeriveParallel measures the sharded work-stealing derivation
-// across the worker sweep (results are byte-identical to sequential;
-// see TestOracle).
+// BenchmarkDeriveParallel measures derivation across the worker sweep,
+// the workers sharing one claim cursor (results are byte-identical to
+// sequential; see TestOracle).
 func BenchmarkDeriveParallel(b *testing.B) {
 	d := synthFixture(b)
 	for _, workers := range scalingWorkerCounts() {

@@ -65,17 +65,6 @@ type miner struct {
 	stamp   []stampEntry // per-KeyID bucket of the current node
 	gen     uint32       // current node's stamp generation
 
-	// Scratch-materialization state (work-stealing engine workers with
-	// an interner). In prune mode the cut-off keeps only a handful of
-	// the materialized candidates, so the full candidate set lands in
-	// these reused buffers and mineOne copies the kept hypotheses out
-	// through the interner; usedScratch records whether the current
-	// result aliases them and therefore must be copied before return.
-	flat        db.LockSeq
-	hyps        []Hypothesis
-	scratch     bool // caller provides an interner; scratch mode allowed
-	usedScratch bool
-
 	// Per-group mining parameters.
 	maxLen int
 	total  float64
@@ -141,7 +130,6 @@ var minerPool = sync.Pool{New: func() any { return new(miner) }}
 // long for the projection bitmask.
 func (m *miner) derive(g *db.ObsGroup, opt Options) Result {
 	res := Result{Group: g, Total: g.Total}
-	m.usedScratch = false
 	if g.Total == 0 {
 		return res
 	}
@@ -219,14 +207,6 @@ func (m *miner) flatten(g *db.ObsGroup) (int, bool) {
 	return longest, true
 }
 
-// scratchActive reports whether materialize may write into the reused
-// worker buffers: the caller must have provided an interner (scratch)
-// AND the cut-off must prune the kept set down to the few hypotheses
-// mineOne then copies out. Without a cut-off every candidate is kept,
-// so interning them all would cost more than the per-group allocation
-// it replaces.
-func (m *miner) scratchActive() bool { return m.scratch && m.prune }
-
 // expand generates all children of the node at nodeIdx (depth levels
 // below the root) in one scan of its active states, then recurses into
 // the surviving subtrees.
@@ -298,31 +278,15 @@ func openBucket(bk []bucket, key db.KeyID) []bucket {
 // materialize converts the node arena into the Hypothesis slice the
 // rest of the pipeline consumes: one backing []KeyID for all sequences
 // (two allocations total, instead of one map entry + one copy + one
-// signature string per candidate in the reference path). In scratch
-// mode (engine worker with an interner, prune on) even those two land
-// in reused worker buffers and the caller copies the kept hypotheses
-// out; usedScratch flags the aliasing result.
+// signature string per candidate in the reference path). Both are
+// fresh, so the result owns its memory and outlives the miner's reuse.
 func (m *miner) materialize() []Hypothesis {
 	flatLen := 0
 	for i := range m.nodes {
 		flatLen += int(m.nodes[i].depth)
 	}
-	var flat db.LockSeq
-	var hyps []Hypothesis
-	if m.scratchActive() {
-		m.usedScratch = true
-		if cap(m.flat) < flatLen {
-			m.flat = make(db.LockSeq, flatLen)
-		}
-		flat = m.flat[:flatLen]
-		if cap(m.hyps) < len(m.nodes) {
-			m.hyps = make([]Hypothesis, len(m.nodes))
-		}
-		hyps = m.hyps[:len(m.nodes)]
-	} else {
-		flat = make(db.LockSeq, flatLen)
-		hyps = make([]Hypothesis, len(m.nodes))
-	}
+	flat := make(db.LockSeq, flatLen)
+	hyps := make([]Hypothesis, len(m.nodes))
 	off := 0
 	for i := range m.nodes {
 		n := &m.nodes[i]

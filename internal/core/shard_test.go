@@ -3,14 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 
 	"lockdoc/internal/db"
+	"lockdoc/internal/obs"
 )
 
-// fakeGroup builds a hydrated group whose observed sequences have the
-// given lengths — enough for groupWeight and shard assignment, which
-// never look at the keys themselves.
+// fakeGroup builds a hydrated group with one observed sequence of each
+// given length, holding the locks 0, 1, ... in order.
 func fakeGroup(lens ...int) *db.ObsGroup {
 	g := &db.ObsGroup{Seqs: map[string]*db.SeqObs{}, Total: 1}
 	for i, l := range lens {
@@ -23,108 +25,88 @@ func fakeGroup(lens ...int) *db.ObsGroup {
 	return g
 }
 
+// TestGroupWeight mines one heavy group among many light ones, the mix
+// the claim order matters for: the worker that claims the heavy group
+// is still mining it while the others drain the light ones, and every
+// result must still land at its own group's index.
 func TestGroupWeight(t *testing.T) {
-	// A lazy stub (Seqs nil) falls back to the observation count.
-	stub := &db.ObsGroup{Total: 41}
-	if w := groupWeight(stub); w != 42 {
-		t.Fatalf("stub weight = %v, want 42", w)
-	}
-	// Hydrated weight is monotone in sequence length: each extra held
-	// lock multiplies the candidate permutation space.
-	prev := 0.0
-	for l := 0; l <= 10; l++ {
-		w := groupWeight(fakeGroup(l))
-		if w <= prev {
-			t.Fatalf("weight(len=%d) = %v, not above weight(len=%d) = %v", l, w, l-1, prev)
-		}
-		prev = w
-	}
-	// Beyond the trieCost table the estimate keeps growing, so a
-	// pathological group still lands alone on a shard.
-	if a, b := groupWeight(fakeGroup(12)), groupWeight(fakeGroup(20)); b <= a {
-		t.Fatalf("beyond-table weights not monotone: %v then %v", a, b)
-	}
-}
-
-// TestShardAssignmentBalances checks the greedy assignment: with one
-// heavy group and many light ones, the heavy group's shard receives
-// (almost) nothing else.
-func TestShardAssignmentBalances(t *testing.T) {
-	groups := []*db.ObsGroup{fakeGroup(7)} // heavy: ~13700 nodes
-	for i := 0; i < 40; i++ {
+	groups := []*db.ObsGroup{fakeGroup(7)} // heavy: ~13700 trie nodes
+	for range 40 {
 		groups = append(groups, fakeGroup(2)) // light: 5 nodes
 	}
-	out := make([]Result, len(groups))
-	e := newMineEngine(context.Background(), nil, groups, nil, out, Options{}, nil, 4)
-
-	var heavyShard *mineShard
-	total := 0
-	for s := range e.shards {
-		total += len(e.shards[s].items)
-		for _, gi := range e.shards[s].items {
-			if gi == 0 {
-				heavyShard = &e.shards[s]
-			}
+	opt := Options{AcceptThreshold: 0.9}
+	want := make([]Result, len(groups))
+	for i, g := range groups {
+		want[i] = Derive(context.Background(), nil, g, opt)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		opt.Parallelism = workers
+		out := make([]Result, len(groups))
+		if err := mineAll(context.Background(), nil, groups, nil, out, opt); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if total != len(groups) {
-		t.Fatalf("assignment lost groups: %d shard items, %d groups", total, len(groups))
-	}
-	if heavyShard == nil {
-		t.Fatal("heavy group not assigned to any shard")
-	}
-	if n := len(heavyShard.items); n != 1 {
-		t.Fatalf("heavy group shares its shard with %d light groups; greedy balancing should isolate it", n-1)
+		sameResults(t, "heavy-among-light", want, out)
 	}
 }
 
-// TestClaimSteal drives the claim protocol synchronously from one
-// goroutine, so steal order is deterministic: a worker drains its own
-// shard first, then scans the victims round-robin from its right
-// neighbour and takes their unclaimed tails.
+// TestShardAssignmentBalances: goroutines claiming from one pass at
+// once (run it under -race) together claim every index exactly once.
+func TestShardAssignmentBalances(t *testing.T) {
+	const n, claimers = 1000, 8
+	p := &minePass{groups: make([]*db.ObsGroup, n)}
+	claimed := make([][]int32, claimers)
+	var wg sync.WaitGroup
+	for c := range claimers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for gi := p.claim(); gi >= 0; gi = p.claim() {
+				claimed[c] = append(claimed[c], gi)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make([]int, n)
+	for _, cs := range claimed {
+		for _, gi := range cs {
+			seen[gi]++
+		}
+	}
+	for gi, k := range seen {
+		if k != 1 {
+			t.Fatalf("group %d claimed %d times, want once", gi, k)
+		}
+	}
+}
+
+// TestClaimSteal drives a pass's claim from one goroutine: indices come
+// in work-list order, for the full list and for a delta list, and a
+// drained cursor yields nothing.
 func TestClaimSteal(t *testing.T) {
 	groups := make([]*db.ObsGroup, 6)
-	for i := range groups {
-		groups[i] = fakeGroup(1)
-	}
-	e := &mineEngine{
-		groups: groups,
-		shards: make([]mineShard, 3),
-	}
-	e.shards[0].items = []int32{0, 1}
-	e.shards[1].items = []int32{2, 3}
-	e.shards[2].items = []int32{4, 5}
-
-	ownDone := false
-	type claim struct {
-		gi    int32
-		stole bool
-	}
-	var got []claim
-	for {
-		gi, stole := e.claim(0, &ownDone)
-		if gi < 0 {
-			break
+	for _, c := range []struct {
+		name string
+		work []int32
+		want []int32
+	}{
+		{"full", nil, []int32{0, 1, 2, 3, 4, 5}},
+		{"delta", []int32{1, 4, 5}, []int32{1, 4, 5}},
+	} {
+		p := &minePass{groups: groups, work: c.work}
+		var got []int32
+		for gi := p.claim(); gi >= 0; gi = p.claim() {
+			got = append(got, gi)
 		}
-		got = append(got, claim{gi, stole})
-	}
-	want := []claim{{0, false}, {1, false}, {2, true}, {3, true}, {4, true}, {5, true}}
-	if len(got) != len(want) {
-		t.Fatalf("claimed %d groups, want %d (%v)", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("claim %d = %+v, want %+v (full: %v)", i, got[i], want[i], got)
+		if !slices.Equal(got, c.want) {
+			t.Fatalf("%s: claimed %v, want %v", c.name, got, c.want)
 		}
-	}
-	// The engine is drained: another worker finds nothing either.
-	otherDone := false
-	if gi, _ := e.claim(1, &otherDone); gi >= 0 {
-		t.Fatalf("drained engine still yielded group %d", gi)
+		if gi := p.claim(); gi >= 0 {
+			t.Fatalf("%s: drained cursor still yielded group %d", c.name, gi)
+		}
 	}
 }
 
-// TestMineAllAccounting checks that every selected group is claimed
+// TestMineAllAccounting checks that every selected group is mined
 // exactly once regardless of worker count, and that the work-list form
 // (delta derivation) only mines the listed groups.
 func TestMineAllAccounting(t *testing.T) {
@@ -135,13 +117,13 @@ func TestMineAllAccounting(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 9} {
 		opt.Parallelism = workers
+		opt.Metrics = NewMetrics(obs.NewRegistry())
 		out := make([]Result, len(groups))
-		stats, err := mineAll(context.Background(), view, groups, nil, out, opt, nil)
-		if err != nil {
+		if err := mineAll(context.Background(), view, groups, nil, out, opt); err != nil {
 			t.Fatal(err)
 		}
-		if stats.claims != uint64(len(groups)) {
-			t.Fatalf("workers=%d: %d claims for %d groups", workers, stats.claims, len(groups))
+		if mined := opt.Metrics.GroupsMined.Value(); mined != uint64(len(groups)) {
+			t.Fatalf("workers=%d: mined %d times for %d groups", workers, mined, len(groups))
 		}
 		for i := range out {
 			if out[i].Group == nil {
@@ -157,12 +139,12 @@ func TestMineAllAccounting(t *testing.T) {
 	}
 	out := make([]Result, len(groups))
 	opt.Parallelism = 2
-	stats, err := mineAll(context.Background(), view, groups, work, out, opt, nil)
-	if err != nil {
+	opt.Metrics = NewMetrics(obs.NewRegistry())
+	if err := mineAll(context.Background(), view, groups, work, out, opt); err != nil {
 		t.Fatal(err)
 	}
-	if stats.claims != uint64(len(work)) {
-		t.Fatalf("work-list: %d claims for %d selected groups", stats.claims, len(work))
+	if mined := opt.Metrics.GroupsMined.Value(); mined != uint64(len(work)) {
+		t.Fatalf("work-list: mined %d times for %d selected groups", mined, len(work))
 	}
 	selected := map[int32]bool{}
 	for _, gi := range work {
@@ -185,35 +167,56 @@ func TestMineAllCancellation(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 3} {
 		out := make([]Result, len(groups))
-		_, err := mineAll(ctx, view, groups, nil, out, Options{AcceptThreshold: 0.9, Parallelism: workers}, nil)
+		err := mineAll(ctx, view, groups, nil, out, Options{AcceptThreshold: 0.9, Parallelism: workers})
 		if err != context.Canceled {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 	}
 }
 
-// TestInternerSharesKeptSequences: in prune mode the kept hypothesis
-// sequences of equal content are the same backing array after a pass,
-// across groups and across passes of one DeltaDeriver.
-func TestInternerSharesKeptSequences(t *testing.T) {
-	tab := newSeqTable()
-	si := tab.interner()
-	a := si.intern(db.LockSeq{1, 2, 3})
-	b := si.intern(db.LockSeq{1, 2, 3})
-	if &a[0] != &b[0] {
-		t.Fatal("equal sequences interned to distinct arrays")
+// deepCopyResults copies results down to their hypothesis sequences,
+// with each winner pointing into its copy.
+func deepCopyResults(rs []Result) []Result {
+	out := make([]Result, len(rs))
+	for i, r := range rs {
+		hyps := make([]Hypothesis, len(r.Hypotheses))
+		for j, h := range r.Hypotheses {
+			h.Seq = slices.Clone(h.Seq)
+			hyps[j] = h
+			if r.Winner == &r.Hypotheses[j] {
+				r.Winner = &hyps[j]
+			}
+		}
+		r.Hypotheses = hyps
+		out[i] = r
 	}
-	if got := si.intern(nil); got != nil {
-		t.Fatalf("interning an empty sequence returned %v", got)
-	}
+	return out
+}
 
-	// After a merge, a fresh interner resolves the same content from the
-	// shared frozen table without copying again.
-	tab.merge([]*seqInterner{si}, nil)
-	si2 := tab.interner()
-	c := si2.intern(db.LockSeq{1, 2, 3})
-	if &a[0] != &c[0] {
-		t.Fatal("post-merge interner did not reuse the frozen sequence")
+// TestInternerSharesKeptSequences: pruned results own their memory. A
+// pass with a cut-off keeps few hypotheses per group, and nothing of
+// them may alias a buffer of the miner that mined them: a later pass
+// on the same pooled miners leaves them untouched.
+func TestInternerSharesKeptSequences(t *testing.T) {
+	view := fixtureDB(t).Seal()
+	other := goldenDBs(t)["clock_golden_v2.lkdc"]
+	for _, workers := range []int{1, 2} {
+		opt := Options{AcceptThreshold: 0.9, CutoffThreshold: 0.1, Parallelism: workers}
+		first, err := DeriveAll(context.Background(), view, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]Result, len(first))
+		for i, g := range view.Groups() {
+			want[i] = deriveReference(view, g, opt)
+		}
+		sameResults(t, "pruned-vs-reference", want, first)
+
+		snap := deepCopyResults(first)
+		if _, err := DeriveAll(context.Background(), other, opt); err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, "pruned-after-second-pass", snap, first)
 	}
 }
 
@@ -223,7 +226,7 @@ type failingSource struct{ error }
 func (f failingSource) HydrateGroup(int, *db.ObsGroup) error { return f.error }
 
 // TestDeriveAllReturnsHydrationError: a group that fails to hydrate
-// fails the pass, on the sequential path and in the engine alike.
+// fails the pass, on one worker and on several alike.
 func TestDeriveAllReturnsHydrationError(t *testing.T) {
 	view := fixtureDB(t).Seal()
 	meta := view.AppendStateMeta(nil)

@@ -233,8 +233,8 @@ func TestAppendRetainsRuleCache(t *testing.T) {
 	// Default options: the load already pre-mined them, so even the
 	// first query is a pure hit and the server-side deriver never runs.
 	do(t, s, "GET", "/v1/rules", nil)
-	if hits, derives := s.m.cacheHits.Value(), s.m.derives.Value(); hits != 1 || derives != 0 {
-		t.Fatalf("warm default query: hits=%d derives=%d, want 1/0 (pre-mined by the load)", hits, derives)
+	if hits, misses := s.m.cacheHits.Value(), s.m.cacheMisses.Value(); hits != 1 || misses != 0 {
+		t.Fatalf("warm default query: hits=%d misses=%d, want 1/0 (pre-mined by the load)", hits, misses)
 	}
 	// Other thresholds and a MaxLocks select from the load's table.
 	base := mined()

@@ -394,8 +394,8 @@ func TestSnapshotBodyMemo(t *testing.T) {
 			}
 		}
 		// The one build's derive and every memo hit count as cache hits.
-		if hits, derives := s.m.cacheHits.Value(), s.m.derives.Value(); hits != n || derives != 0 {
-			t.Errorf("hits=%d derives=%d, want %d/0", hits, derives, n)
+		if hits, misses := s.m.cacheHits.Value(), s.m.cacheMisses.Value(); hits != n || misses != 0 {
+			t.Errorf("hits=%d misses=%d, want %d/0", hits, misses, n)
 		}
 
 		// The slot itself: while the first build runs, no other caller

@@ -15,16 +15,14 @@ type serverMetrics struct {
 	requests    *obs.Counter // HTTP requests served (all endpoints)
 	cacheHits   *obs.Counter // rule queries answered from a snapshot's selections or body memo
 	cacheMisses *obs.Counter // rule queries that had to select
-	derives     *obs.Counter // selections made (each mining the table first if it is not resident)
 	reloads     *obs.Counter // full snapshots published (loads + uploads)
 	uploadBytes *obs.Counter // raw trace bytes accepted via trace uploads
 
 	// Incremental-ingestion counters.
-	appends        *obs.Counter // delta snapshots published via append mode
-	appendEvents   *obs.Counter // events merged by appends
-	appendNanos    *obs.Counter // wall time spent in append publication
-	groupsDirtied  *obs.Counter // observation groups appends touched
-	groupsPremined *obs.Counter // groups an append reused from an earlier pass's rules
+	appends       *obs.Counter // delta snapshots published via append mode
+	appendEvents  *obs.Counter // events merged by appends
+	appendNanos   *obs.Counter // wall time spent in append publication
+	groupsDirtied *obs.Counter // observation groups appends touched
 
 	// Request-level observability.
 	inflight *obs.Gauge                // requests currently being served
@@ -70,16 +68,14 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	m := &serverMetrics{
 		requests:    reg.Counter("lockdocd_requests_total", "HTTP requests served."),
 		cacheHits:   reg.Counter("lockdocd_cache_hits_total", "Derivation queries answered from the snapshot cache."),
-		cacheMisses: reg.Counter("lockdocd_cache_misses_total", "Derivation queries that had to derive."),
-		derives:     reg.Counter("lockdocd_derives_total", "Parallel derivation runs executed."),
+		cacheMisses: reg.Counter("lockdocd_cache_misses_total", "Derivation queries that had to select from the snapshot's table."),
 		reloads:     reg.Counter("lockdocd_reloads_total", "Trace snapshots published."),
 		uploadBytes: reg.Counter("lockdocd_upload_bytes_total", "Raw trace bytes accepted via /v1/traces."),
 
-		appends:        reg.Counter("lockdocd_appends_total", "Delta snapshots published via /v1/traces append mode."),
-		appendEvents:   reg.Counter("lockdocd_append_events_total", "Trace events merged by appends."),
-		appendNanos:    reg.Counter("lockdocd_append_nanos_total", "Wall-clock nanoseconds spent publishing appends (consume+seal+checks)."),
-		groupsDirtied:  reg.Counter("lockdocd_groups_dirtied_total", "Observation groups touched by appends."),
-		groupsPremined: reg.Counter("lockdocd_groups_premined_total", "Observation groups whose default-options rules an append reused, pre-mined by an earlier load or append pass, instead of re-mining them."),
+		appends:       reg.Counter("lockdocd_appends_total", "Delta snapshots published via /v1/traces append mode."),
+		appendEvents:  reg.Counter("lockdocd_append_events_total", "Trace events merged by appends."),
+		appendNanos:   reg.Counter("lockdocd_append_nanos_total", "Wall-clock nanoseconds spent publishing appends (consume+seal+checks)."),
+		groupsDirtied: reg.Counter("lockdocd_groups_dirtied_total", "Observation groups touched by appends."),
 
 		inflight: reg.Gauge("lockdocd_inflight_requests", "Requests currently being served."),
 		latency:  make(map[string]*obs.Histogram, len(latencyEndpoints)),

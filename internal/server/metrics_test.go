@@ -26,10 +26,8 @@ func TestMetricsExpositionShape(t *testing.T) {
 		"# HELP lockdocd_requests_total HTTP requests served.\n# TYPE lockdocd_requests_total counter\n",
 		"lockdocd_cache_hits_total 1\n",
 		"lockdocd_cache_misses_total 0\n",
-		"lockdocd_derives_total 0\n",
 		"lockdocd_reloads_total 1\n",
 		"lockdocd_appends_total 0\n",
-		"lockdocd_groups_premined_total 0\n",
 		// Gather-time gauges reading live server state.
 		"lockdocd_snapshot_generation 1\n",
 		"lockdocd_cache_entries 1\n",
@@ -56,6 +54,8 @@ func TestMetricsExpositionShape(t *testing.T) {
 		// One load seals the live store exactly once, on any host.
 		"lockdoc_db_seals_total 1\n",
 		"lockdoc_core_groups_mined_total ",
+		// A load starts a fresh deriver, which reuses no group.
+		"lockdoc_core_delta_reused_total 0\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)

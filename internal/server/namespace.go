@@ -255,7 +255,6 @@ func (ns *namespace) appendTrace(r io.Reader, source string) (*Snapshot, AppendS
 	s.m.appends.Inc()
 	s.m.appendEvents.Add(uint64(n))
 	s.m.groupsDirtied.Add(uint64(stats.Dirty))
-	s.m.groupsPremined.Add(uint64(stats.Premined))
 	s.m.appendNanos.Add(uint64(stats.Elapsed))
 	return snap, stats, nil
 }

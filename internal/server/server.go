@@ -762,7 +762,6 @@ func (s *Server) derive(ctx context.Context, snap *Snapshot, opt core.Options) (
 		s.m.cacheHits.Inc()
 	} else {
 		s.m.cacheMisses.Inc()
-		s.m.derives.Inc()
 	}
 	return results, err
 }

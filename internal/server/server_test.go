@@ -202,25 +202,25 @@ func TestDocGolden(t *testing.T) {
 // still miss and derive on demand.
 func TestCacheMemoization(t *testing.T) {
 	s := newLoadedServer(t)
-	read := func() (hits, misses, derives uint64) {
-		return s.m.cacheHits.Value(), s.m.cacheMisses.Value(), s.m.derives.Value()
+	read := func() (hits, misses uint64) {
+		return s.m.cacheHits.Value(), s.m.cacheMisses.Value()
 	}
 	do(t, s, "GET", "/v1/rules", nil)
-	if hits, _, derives := read(); hits != 1 || derives != 0 {
-		t.Fatalf("first query: hits=%d derives=%d, want 1/0 (load pre-mines the default options)", hits, derives)
+	if hits, misses := read(); hits != 1 || misses != 0 {
+		t.Fatalf("first query: hits=%d misses=%d, want 1/0 (load pre-mines the default options)", hits, misses)
 	}
 	do(t, s, "GET", "/v1/rules", nil)
 	do(t, s, "GET", "/v1/violations", nil) // same default options -> same key
-	if hits, _, derives := read(); hits != 3 || derives != 0 {
-		t.Fatalf("repeat queries: hits=%d derives=%d, want 3/0", hits, derives)
+	if hits, misses := read(); hits != 3 || misses != 0 {
+		t.Fatalf("repeat queries: hits=%d misses=%d, want 3/0", hits, misses)
 	}
 	do(t, s, "GET", "/v1/rules?tac=0.8", nil)
-	if _, misses, derives := read(); misses != 1 || derives != 1 {
-		t.Fatalf("distinct options: misses=%d derives=%d, want 1/1", misses, derives)
+	if hits, misses := read(); hits != 3 || misses != 1 {
+		t.Fatalf("distinct options: hits=%d misses=%d, want 3/1", hits, misses)
 	}
 	// The zero-value default and the explicit default share a key.
 	do(t, s, "GET", "/v1/rules?tac=0.9", nil)
-	if hits, _, _ := read(); hits != 4 {
+	if hits, _ := read(); hits != 4 {
 		t.Fatalf("explicit default tac missed the cache")
 	}
 	// A reload replaces the epoch; its own pre-mined results cover the
@@ -229,12 +229,12 @@ func TestCacheMemoization(t *testing.T) {
 		t.Fatal(err)
 	}
 	do(t, s, "GET", "/v1/rules", nil)
-	if hits, _, derives := read(); hits != 5 || derives != 1 {
-		t.Fatalf("post-reload default query: hits=%d derives=%d, want 5/1", hits, derives)
+	if hits, misses := read(); hits != 5 || misses != 1 {
+		t.Fatalf("post-reload default query: hits=%d misses=%d, want 5/1", hits, misses)
 	}
 	do(t, s, "GET", "/v1/rules?tac=0.8", nil)
-	if _, misses, derives := read(); misses != 2 || derives != 2 {
-		t.Fatalf("post-reload non-default query: misses=%d derives=%d, want 2/2", misses, derives)
+	if _, misses := read(); misses != 2 {
+		t.Fatalf("post-reload non-default query: misses=%d, want 2", misses)
 	}
 	// The /metrics rendering exposes the hit counter.
 	body := do(t, s, "GET", "/metrics", nil).Body.String()
