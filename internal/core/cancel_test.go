@@ -149,11 +149,50 @@ func TestDeriveAllCancelMidMineParallel(t *testing.T) {
 	if out != nil {
 		t.Fatal("cancelled DeriveAll returned results")
 	}
-	// Every worker re-checks before each claim, so at most one group per
+	// Every worker checks after each claim, so at most one group per
 	// passed check completes — nowhere near the full store.
 	if mined := opt.Metrics.GroupsMined.Value(); mined >= groups {
 		t.Errorf("mined all %d groups despite cancellation", mined)
 	}
+}
+
+// TestDeriveAllCancelAfterLastClaim: the context is checked after each
+// claim that found a group, so a pass cancelled only once its last
+// group is claimed, or a pass with no group to claim, returns complete
+// results at every worker count.
+func TestDeriveAllCancelAfterLastClaim(t *testing.T) {
+	const groups = 16
+	view := manyGroupsDB(t, groups).Seal()
+	want := mustDeriveAll(t, view, Options{AcceptThreshold: 0.9, Parallelism: 1})
+	for _, par := range []int{1, 2, 4} {
+		// One check per claimed group: the trip context reads as
+		// cancelled only from check groups+1 on.
+		got, err := DeriveAll(newTripCtx(groups), view, Options{AcceptThreshold: 0.9, Parallelism: par})
+		if err != nil {
+			t.Fatalf("parallelism %d: err = %v, want nil", par, err)
+		}
+		sameResults(t, fmt.Sprintf("parallelism %d", par), want, got)
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if out, err := DeriveAll(cancelled, db.New(db.Config{}), Options{AcceptThreshold: 0.9}); out == nil || err != nil {
+		t.Errorf("empty store, cancelled context: (%d results, %v), want (0 results, nil)", len(out), err)
+	}
+
+	// A warm delta pass over an unchanged snapshot has no dirty group.
+	dd := NewDeltaDeriver(Options{AcceptThreshold: 0.9, Parallelism: 2})
+	if _, _, err := dd.DeriveAll(context.Background(), view); err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := dd.DeriveAll(cancelled, view)
+	if err != nil {
+		t.Fatalf("warm delta pass, cancelled context: err = %v, want nil", err)
+	}
+	if stats.Reused != groups {
+		t.Errorf("warm delta pass reused %d/%d groups", stats.Reused, groups)
+	}
+	sameResults(t, "warm-delta-cancelled", want, got)
 }
 
 func TestDeltaDeriveCancelPreservesCache(t *testing.T) {
